@@ -62,7 +62,12 @@ def _workers() -> int:
     return value
 
 
-def _load_graph(ref: str) -> tuple[Graph, LoadReport, str]:
+def load_graph(ref: str) -> tuple[Graph, LoadReport, str]:
+    """Resolve a graph reference: an embedded fixture name or a file path.
+
+    Paths ending in .gml parse as GML, anything else as an edge list.
+    Returns the graph, its load report and the name to display.
+    """
     if ref in fixtures.names():
         graph, report = fixtures.load(ref)
         return graph, report, ref
@@ -82,6 +87,17 @@ def _report_dict(report: LoadReport) -> dict:
     }
 
 
+def _note_report(ref: str, report: LoadReport) -> None:
+    """Tell stderr what loading a graph file normalized away, if anything.
+
+    Fixtures are skipped: their 'v v' lines only fix the vertex order.
+    """
+    dropped = {k: v for k, v in _report_dict(report).items() if v}
+    if dropped and ref not in fixtures.names():
+        fields = " ".join(f"{k}={json.dumps(v)}" for k, v in dropped.items())
+        print(f"note: load report: {fields}", file=sys.stderr)
+
+
 def _emit(text: str, out: "Path | None" = None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -93,7 +109,8 @@ def _emit(text: str, out: "Path | None" = None) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    graph, _, name = _load_graph(args.graph)
+    graph, report, name = load_graph(args.graph)
+    _note_report(args.graph, report)
     config = RunConfig(
         timing=TimingModel(args.timing),
         tie=_tie(args.tie),
@@ -198,7 +215,8 @@ def _summary_csv_row(s: ExperimentSummary) -> str:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    graph, _, name = _load_graph(args.graph)
+    graph, report, name = load_graph(args.graph)
+    _note_report(args.graph, report)
     timings = (
         [TimingModel.ASYNCHRONOUS, TimingModel.SEMI_SYNCHRONOUS]
         if args.both_timings
@@ -267,7 +285,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    graph, report, name = _load_graph(args.graph)
+    graph, report, name = load_graph(args.graph)
     components = len(extract_communities(graph, [0] * graph.n).communities)
     if args.format == "json":
         doc = {

@@ -6,19 +6,30 @@ Two text formats are supported:
   tokens; ``#`` starts a comment line.
 * a GML subset: ``graph [ node [ id K ... ] ... edge [ source A
   target B ... ] ... ]`` with unknown keys (including nested blocks)
-  skipped.
+  skipped.  Only the first top-level ``graph`` block is read.  GML
+  tokens are ``[``, ``]``, ``"strings"`` (closed on the same line) and
+  atoms; any whitespace character separates tokens, but an atom ends
+  only at a space, tab, bracket, quote, CR or LF, so a form feed or
+  no-break space inside an atom is part of it.  ``#`` at the start of a
+  token comments out the rest of the line.
 
 Both loaders normalize to the same representation: vertex tokens are
 remapped to dense ids ``0..n-1`` in first-appearance order, self-loops
 are dropped, and parallel edges are deduplicated.  Everything dropped is
 tallied in a :class:`LoadReport` so callers can surface it.
+
+Ingestion is linear in the input size: each loader reads its text in one
+pass, and :class:`Graph` validation costs O(n + m) whatever the degrees.
+Only the sort of each vertex's neighbor list is not.
 """
 
 from __future__ import annotations
 
 import io
+import re
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, TextIO
+from typing import Iterator, NoReturn, TextIO
 
 
 class GraphParseError(ValueError):
@@ -67,6 +78,11 @@ class Graph:
             raise ValueError("n does not match adjacency length")
         if self.external_names is not None and len(self.external_names) != self.n:
             raise ValueError("external_names length does not match n")
+        # cursor[u] is the position in adjacency[u] of the next higher
+        # neighbor yet to list u.  Vertices are scanned in ascending order,
+        # so u's higher neighbors list it in the order adjacency[u] has them.
+        cursor = [0] * self.n
+        symmetric = True
         half_degrees = 0
         for v, neigh in enumerate(self.adjacency):
             half_degrees += len(neigh)
@@ -79,11 +95,23 @@ class Graph:
                 if not 0 <= u < self.n:
                     raise ValueError(f"neighbor {u} of {v} out of range")
                 prev = u
+                if u < v:
+                    c = cursor[u]
+                    upper = self.adjacency[u]
+                    if c < len(upper) and upper[c] == v:
+                        cursor[u] = c + 1
+                    else:
+                        symmetric = False
+            cursor[v] = bisect_left(neigh, v)
         if half_degrees != 2 * self.m:
             raise ValueError("m inconsistent with adjacency lists")
+        if symmetric and cursor == [len(a) for a in self.adjacency]:
+            return
+        # Asymmetric: name the first offending edge in scan order.
+        sets = [set(a) for a in self.adjacency]
         for v, neigh in enumerate(self.adjacency):
             for u in neigh:
-                if v not in self.adjacency[u]:
+                if v not in sets[u]:
                     raise ValueError(f"edge {{{u}, {v}}} not symmetric")
 
     @classmethod
@@ -129,12 +157,6 @@ class Graph:
         if self.external_names is not None:
             return self.external_names[v]
         return str(v)
-
-
-def _tokens(source: "str | TextIO") -> Iterator[tuple[int, str]]:
-    stream = io.StringIO(source) if isinstance(source, str) else source
-    for lineno, raw in enumerate(stream, start=1):
-        yield lineno, raw
 
 
 class _EdgeAccumulator:
@@ -198,7 +220,9 @@ def load_edge_list(source: "str | TextIO") -> tuple[Graph, LoadReport]:
             input contains no vertices at all.
     """
     acc = _EdgeAccumulator()
-    for lineno, raw in _tokens(source):
+    # Only the loop holds the StringIO, whose buffer takes 4 bytes a
+    # character, so it is freed before the graph is built.
+    for lineno, raw in enumerate(io.StringIO(source) if isinstance(source, str) else source, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -233,76 +257,15 @@ def dump_edge_list(graph: Graph) -> str:
 
 # --- GML subset -----------------------------------------------------------
 
-_GML_INTERESTING_EDGE_KEYS = {"source", "target"}
 _GML_WEIGHT_KEYS = {"weight", "value"}
-
-
-def _gml_tokenize(source: "str | TextIO") -> Iterator[tuple[str, str, int]]:
-    """Yield (kind, text, line) with kind in {'atom', 'string', 'open', 'close'}."""
-    for lineno, raw in _tokens(source):
-        rest = raw
-        while rest:
-            rest = rest.lstrip()
-            if not rest:
-                break
-            ch = rest[0]
-            if ch == "[":
-                yield "open", "[", lineno
-                rest = rest[1:]
-            elif ch == "]":
-                yield "close", "]", lineno
-                rest = rest[1:]
-            elif ch == '"':
-                end = rest.find('"', 1)
-                if end < 0:
-                    raise GraphParseError("unterminated string", line=lineno)
-                yield "string", rest[1:end], lineno
-                rest = rest[end + 1 :]
-            elif ch == "#":
-                break
-            else:
-                cut = len(rest)
-                for stop in (" ", "\t", "[", "]", '"', "\n", "\r"):
-                    pos = rest.find(stop)
-                    if 0 <= pos < cut:
-                        cut = pos
-                yield "atom", rest[:cut], lineno
-                rest = rest[cut:]
-
-
-def _gml_parse_block(
-    tokens: "list[tuple[str, str, int]]",
-    pos: int,
-    *,
-    top: bool,
-    opened_at: int,
-) -> tuple[list[tuple[str, object, int]], int]:
-    """Parse key/value pairs until the matching ']'; values are scalars or sub-blocks."""
-    entries: list[tuple[str, object, int]] = []
-    while pos < len(tokens):
-        kind, text, lineno = tokens[pos]
-        if kind == "close":
-            if top:
-                raise GraphParseError("unbalanced brackets: stray ']'", line=lineno)
-            return entries, pos + 1
-        if kind != "atom":
-            raise GraphParseError(f"expected a key, got {text!r}", line=lineno)
-        key = text
-        pos += 1
-        if pos >= len(tokens):
-            raise GraphParseError(f"key {key!r} has no value", line=lineno)
-        vkind, vtext, vline = tokens[pos]
-        if vkind == "open":
-            sub, pos = _gml_parse_block(tokens, pos + 1, top=False, opened_at=vline)
-            entries.append((key, sub, lineno))
-        elif vkind == "close":
-            raise GraphParseError(f"key {key!r} has no value", line=lineno)
-        else:
-            entries.append((key, vtext, lineno))
-            pos += 1
-    if not top:
-        raise GraphParseError("unbalanced brackets: block never closed", line=opened_at)
-    return entries, pos
+# One token per match, after any whitespace: a bracket, a string, an
+# atom, a lone quote (an unterminated string), a comment, or the end.
+# No alternative starts with whitespace and the end is a match of its
+# own, so the leading \s* never gives characters back (scans stay linear).
+_GML_TOKEN = re.compile(
+    r'\s*(?:(\[)|(\])|"([^"\n]*)"|([^\s\[\]"#][^ \t\[\]"\n\r]*)|(")|#[^\n]*|\Z)'
+)
+_OPEN, _CLOSE, _STRING, _ATOM, _QUOTE = 1, 2, 3, 4, 5
 
 
 def load_gml(source: "str | TextIO") -> tuple[Graph, LoadReport]:
@@ -313,62 +276,99 @@ def load_gml(source: "str | TextIO") -> tuple[Graph, LoadReport]:
     but ignored (flagged in the report); a ``directed 1`` declaration is
     accepted and the edges are symmetrized (also flagged).  Anything else
     is skipped.
-    """
-    tokens = list(_gml_tokenize(source))
-    entries, _ = _gml_parse_block(tokens, 0, top=True, opened_at=0)
 
-    graph_block: list[tuple[str, object, int]] | None = None
-    for key, value, lineno in entries:
-        if key == "graph" and isinstance(value, list):
-            graph_block = value
-            break
-    if graph_block is None:
-        raise GraphParseError("no 'graph [ ... ]' block found")
+    Errors are reported in a fixed order whatever their position: an
+    unterminated string, then bracket and key/value errors, then a
+    missing ``graph`` block, then node and edge errors in block order,
+    then edges that name undeclared nodes.
+    """
+    text = source if isinstance(source, str) else source.read()
+    tokens = _GML_TOKEN.finditer(text)
+
+    def line(pos: int) -> int:
+        return text.count("\n", 0, pos) + 1
+
+    def fail(message: str, pos: int) -> NoReturn:
+        for m in tokens:  # an unterminated string later on wins
+            if m.lastindex == _QUOTE:
+                message, pos = "unterminated string", m.end()
+                break
+        raise GraphParseError(message, line=line(pos))
 
     acc = _EdgeAccumulator()
     id_to_vertex: dict[str, int] = {}
-    directed = False
-    weights_seen = False
-    pending_edges: list[tuple[str, str, int]] = []
+    pending_edges: list[tuple[str, str, int]] = []  # endpoints not declared yet
+    problem: tuple[str, int] | None = None  # first node/edge error
+    directed = weights_seen = graph_seen = False
+    # (role, key position, bracket position) per open block; the role is "graph"
+    # for the first top-level graph block, "node"/"edge" for its children.
+    stack: list[tuple[str | None, int, int]] = []
+    fields: dict[str, str] = {}  # scalars of the open node/edge block
+    key: str | None = None  # the key awaiting its value, which ends at key_pos
+    key_pos = 0
+    for m in tokens:
+        kind = m.lastindex
+        if kind is None:
+            continue
+        if kind == _QUOTE:
+            raise GraphParseError("unterminated string", line=line(m.end()))
+        if key is None:
+            if kind == _ATOM:
+                key, key_pos = m[_ATOM], m.end()
+                continue
+            if kind != _CLOSE:
+                got = "[" if kind == _OPEN else m[_STRING]
+                fail(f"expected a key, got {got!r}", m.end())
+            if not stack:
+                fail("unbalanced brackets: stray ']'", m.end())
+            role, at, _ = stack.pop()
+            if role == "node" and problem is None:
+                node_id = fields.get("id")
+                if node_id is None:
+                    problem = ("node block missing 'id'", at)
+                elif node_id in id_to_vertex:
+                    problem = (f"duplicate node id {node_id}", at)
+                else:
+                    id_to_vertex[node_id] = acc.fresh_vertex(fields.get("label", node_id))
+            elif role == "edge" and problem is None:
+                src, dst = fields.get("source"), fields.get("target")
+                weights_seen = weights_seen or not _GML_WEIGHT_KEYS.isdisjoint(fields)
+                if src is None or dst is None:
+                    problem = ("edge block missing source/target", at)
+                elif src in id_to_vertex and dst in id_to_vertex:
+                    acc.edge(id_to_vertex[src], id_to_vertex[dst])
+                else:
+                    pending_edges.append((src, dst, at))
+            continue
+        if kind == _CLOSE:
+            fail(f"key {key!r} has no value", key_pos)
+        role = stack[-1][0] if stack else None
+        if kind == _OPEN:
+            if not stack and key == "graph" and not graph_seen:
+                role, graph_seen = "graph", True
+            elif role == "graph" and key in ("node", "edge"):
+                role = key
+                fields.clear()
+            else:
+                role = None
+            stack.append((role, key_pos, m.end()))
+        elif role == "node" or role == "edge":
+            fields[key] = m[kind]
+        elif role == "graph" and key == "directed":
+            directed = m[kind].strip() == "1"
+        key = None
 
-    for key, value, lineno in graph_block:
-        if key == "directed" and not isinstance(value, list):
-            directed = str(value).strip() == "1"
-        elif key == "node" and isinstance(value, list):
-            node_id: str | None = None
-            label: str | None = None
-            for nkey, nvalue, nline in value:
-                if nkey == "id" and not isinstance(nvalue, list):
-                    node_id = str(nvalue)
-                elif nkey == "label" and not isinstance(nvalue, list):
-                    label = str(nvalue)
-            if node_id is None:
-                raise GraphParseError("node block missing 'id'", line=lineno)
-            if node_id in id_to_vertex:
-                raise GraphParseError(f"duplicate node id {node_id}", line=lineno)
-            vid = acc.fresh_vertex(label if label is not None else node_id)
-            id_to_vertex[node_id] = vid
-        elif key == "edge" and isinstance(value, list):
-            src: str | None = None
-            dst: str | None = None
-            for ekey, evalue, eline in value:
-                if isinstance(evalue, list):
-                    continue
-                if ekey == "source":
-                    src = str(evalue)
-                elif ekey == "target":
-                    dst = str(evalue)
-                elif ekey in _GML_WEIGHT_KEYS:
-                    weights_seen = True
-            if src is None or dst is None:
-                raise GraphParseError("edge block missing source/target", line=lineno)
-            pending_edges.append((src, dst, lineno))
-
-    for src, dst, lineno in pending_edges:
-        if src not in id_to_vertex:
-            raise GraphParseError(f"edge references undeclared node {src}", line=lineno)
-        if dst not in id_to_vertex:
-            raise GraphParseError(f"edge references undeclared node {dst}", line=lineno)
+    if key is not None:
+        fail(f"key {key!r} has no value", key_pos)
+    if stack:
+        fail("unbalanced brackets: block never closed", stack[-1][2])
+    if not graph_seen:
+        raise GraphParseError("no 'graph [ ... ]' block found")
+    if problem is not None:
+        raise GraphParseError(problem[0], line=line(problem[1]))
+    for src, dst, at in pending_edges:
+        for end in (src, dst):
+            if end not in id_to_vertex:
+                raise GraphParseError(f"edge references undeclared node {end}", line=line(at))
         acc.edge(id_to_vertex[src], id_to_vertex[dst])
-
     return acc.build(symmetrized=directed, weights_ignored=weights_seen)

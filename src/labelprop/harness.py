@@ -12,11 +12,9 @@ from __future__ import annotations
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
-from . import fixtures
 from .coloring import color_from_labels
-from .graphs import Graph, load_edge_list, load_gml
+from .graphs import Graph
 from .partition import extract_communities, modularity, partition_stats
 from .propagation import (
     RunConfig,
@@ -66,12 +64,10 @@ class TestSetting:
         """Return (graph, display name), loading files/fixtures lazily."""
         if isinstance(self.network, Graph):
             return self.network, f"graph<n={self.network.n}>"
-        if self.network in fixtures.names():
-            return fixtures.graph(self.network), self.network
-        path = Path(self.network)
-        text = path.read_text()
-        loader = load_gml if path.suffix.lower() == ".gml" else load_edge_list
-        return loader(text)[0], path.name
+        from .cli import load_graph  # cli imports this module
+
+        graph, _, name = load_graph(self.network)
+        return graph, name
 
 
 @dataclass(frozen=True)

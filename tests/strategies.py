@@ -1,0 +1,78 @@
+"""Hypothesis strategies for graph files, valid and malformed.
+
+GML documents are token lists joined by random gaps: the empty string
+(so brackets and strings touch their neighbors), line breaks, and
+whitespace that separates tokens but does not end an atom (form feed,
+no-break space, line separator).  Half of the documents start from a
+well-formed graph and are then mutated; the rest are token soup.
+"""
+
+from __future__ import annotations
+
+from hypothesis import strategies as st
+
+GML_GAPS = ["", " ", " ", "\n", "\t", "\r", "\r\n", "\x0c", "\xa0", " ", " \n  "]
+GML_IDS = ["0", "1", "2", "3", "1\x0c", "a\xa0b", "x#y", '"1"', '"a b"', "99999999999999999999"]
+GML_WORDS = [
+    "graph", "node", "edge", "id", "label", "source", "target", "directed",
+    "weight", "value", "Creator", "graphics", "[", "]", '"', '"s"', '"\r"',
+    "# note\n", "#", *GML_IDS,
+]
+
+
+@st.composite
+def _well_formed_gml(draw) -> list[str]:
+    tokens = ["graph", "["]
+    if draw(st.booleans()):
+        tokens += ["directed", draw(st.sampled_from(["0", "1", '"1"', '" 1 "', "1\x0c"]))]
+    declared = draw(st.lists(st.sampled_from(GML_IDS[:6]), unique=True, max_size=4))
+    repeat = declared[:1] if draw(st.integers(0, 9)) == 0 else []
+    for node_id in declared + repeat:
+        tokens += ["node", "[", "id", node_id]
+        if draw(st.booleans()):
+            tokens += ["label", draw(st.sampled_from(['"n"', '"n"', "m", '""']))]
+        if draw(st.booleans()):
+            tokens += ["graphics", "[", "x", "1", "id", "7", "]"]
+        tokens.append("]")
+    ends = st.sampled_from(declared * 4 + ["9"])  # rarely an undeclared node
+    for _ in range(draw(st.integers(0, 5))):
+        tokens += ["edge", "[", "source", draw(ends), "target", draw(ends)]
+        if draw(st.booleans()):
+            tokens += [draw(st.sampled_from(["value", "weight", "label"])), "1"]
+        tokens.append("]")
+    tokens.append("]")
+    if draw(st.booleans()):
+        tokens = ["Creator", '"fuzz"', *tokens]
+    if draw(st.booleans()):
+        tokens += ["graph", "[", "node", "[", "]", "]"]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(tokens)))
+        if draw(st.booleans()) and i < len(tokens):
+            del tokens[i]
+        else:
+            tokens.insert(i, draw(st.sampled_from(GML_WORDS)))
+    return tokens
+
+
+@st.composite
+def gml_documents(draw) -> str:
+    """GML text, well-formed or not."""
+    if draw(st.booleans()):
+        tokens = draw(_well_formed_gml())
+    else:
+        tokens = draw(st.lists(st.sampled_from(GML_WORDS), max_size=30))
+    gaps = st.sampled_from(GML_GAPS)
+    out = []
+    for token, after in zip(tokens, tokens[1:] + [""]):
+        gap = draw(gaps)
+        if _is_atom(token) and _is_atom(after) and not set(gap) & set(" \t\r\n"):
+            gap = " " + gap  # else the two atoms run together into one
+        out.append(token + gap)
+    return "".join(out)
+
+
+def _is_atom(token: str) -> bool:
+    return bool(token) and token[0] not in '[]"#'
+
+
+edge_list_documents = st.text(alphabet="ab01 #\t\n\r\x0c\xa0", max_size=60)

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from strategies import edge_list_documents, gml_documents
 
 from labelprop.cli import main
+from labelprop.graphs import GraphParseError, load_edge_list, load_gml
 
 
 def run_cli(capsys, *argv):
@@ -225,3 +230,70 @@ def test_run_coloring_out_requires_semi_sync(capsys, tmp_path: Path):
                            "--coloring-out", str(tmp_path / "x.csv"))
     assert code == 1
     assert "semi-sync" in err
+
+
+def test_run_and_experiment_print_nontrivial_load_report(capsys, tmp_path: Path):
+    path = tmp_path / "dirty.edgelist"
+    path.write_text("0 1\n1 0\n1 2\n2 2\n")
+    note = "note: load report: self_loops_dropped=1 duplicate_edges_dropped=1\n"
+    code, out, err = run_cli(capsys, "run", str(path), "--tie", "max")
+    assert code == 0
+    assert err == note
+    assert json.loads(out)["graph"]["m"] == 2
+    code, _, err = run_cli(capsys, "experiment", str(path), "--trials", "1")
+    assert code == 0
+    assert err == note
+
+
+def test_gml_load_report_flags_on_stderr(capsys, tmp_path: Path):
+    gml = tmp_path / "w.gml"
+    gml.write_text("graph [ directed 1 node [ id 1 ] node [ id 2 ] "
+                   "edge [ source 1 target 2 weight 3 ] ]")
+    code, _, err = run_cli(capsys, "run", str(gml), "--tie", "max")
+    assert code == 0
+    assert err == "note: load report: symmetrized=true weights_ignored=true\n"
+
+
+def test_clean_input_prints_no_load_report(capsys):
+    code, _, err = run_cli(capsys, "run", "karate", "--tie", "max")
+    assert code == 0
+    assert err == ""
+
+
+def _main_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_exit_matches_loader(path: Path, loader) -> None:
+    try:
+        loader(path.read_text())
+    except GraphParseError:
+        malformed = True
+    else:
+        malformed = False
+    code, err = _main_captured(["info", str(path)])
+    assert "Traceback" not in err
+    if malformed:
+        assert code == 1
+        assert err.startswith("error: ")
+    else:
+        assert code == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=gml_documents())
+def test_cli_fuzzed_gml_exits_cleanly(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.gml"
+    path.write_text(text, encoding="utf-8")
+    _assert_exit_matches_loader(path, load_gml)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=edge_list_documents)
+def test_cli_fuzzed_edge_list_exits_cleanly(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.edgelist"
+    path.write_text(text, encoding="utf-8")
+    _assert_exit_matches_loader(path, load_edge_list)

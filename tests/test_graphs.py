@@ -1,6 +1,11 @@
+import time
 from io import StringIO
 
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import gml_documents
 
 from labelprop import fixtures
 from labelprop.graphs import (
@@ -208,3 +213,149 @@ def test_gml_self_loop_dropped():
     g, report = load_gml(text)
     assert g.m == 1
     assert report.self_loops_dropped == 1
+
+
+GML_CASES = {
+    "unspaced tokens": 'graph[node[id 1]node[id 2 label"b"]edge[source 1 target 2]]',
+    "form feed and no-break space inside atoms": (
+        "graph [ node [ id 1\x0c ] node [ id 1 ] node [ id a\xa0b ]\n"
+        "edge [ source 1\x0c target a\xa0b ] ]"
+    ),
+    "atom cut at CR but not at form feed": "graph [ node [ id 1\r] node [ id 2\x0c]\x0c]",
+    "key followed only by whitespace": "graph [ node [ id 1 ] ]\nCreator \n\t \x0c",
+    "unterminated string after a bracket error": 'graph [ ] ]\nnode [ label "abc\n',
+    "semantic error before a syntax error": 'graph [ node [ label "x" ] ]\n]',
+    "semantic error before an undeclared node": (
+        "graph [ edge [ source 1 target 9 ] node [ id 1 ]\nnode [ id 1 ] ]"
+    ),
+    "only the first graph block is read": (
+        "graph 1 graph [ node [ id 1 ] ] graph [ node [ ] node [ id 1 ] ]"
+    ),
+    "nested blocks do not count as nodes": (
+        "graph [ x [ node [ id 5 ] ] node [ id 1 g [ id 2 ] ] ] node [ id 3 ]"
+    ),
+    "string as a key": 'graph [ "id" 1 ]',
+    "bracket as a key": "graph [ [ ] ]",
+    "key before a closing bracket": "graph [ node ]",
+    "innermost unclosed block": "graph [\n node [\n  g [\n",
+    "directed with padded string value": 'graph [ directed " 1 " node [ id 0 ] ]',
+    "comment hides a quote": 'graph [ # "\n node [ id 1 ] ]',
+    "empty graph": "graph [ ]",
+    "trailing whitespace only": "   \n \x0c ",
+}
+
+
+def _gml_outcome(load, source):
+    try:
+        names, edges, report = load(source)
+    except (GraphParseError, oracles.GmlOracleError) as err:
+        return ("error", str(err), err.line)
+    return ("graph", names, edges, report)
+
+
+def _load_gml_summary(source):
+    g, r = load_gml(source)
+    report = (r.self_loops_dropped, r.duplicate_edges_dropped, r.symmetrized, r.weights_ignored)
+    return g.external_names, sorted(g.edges()), report
+
+
+def assert_gml_matches_oracle(text):
+    expected = _gml_outcome(oracles.gml_oracle, text)
+    assert _gml_outcome(_load_gml_summary, text) == expected
+    assert _gml_outcome(_load_gml_summary, StringIO(text)) == expected
+
+
+@pytest.mark.parametrize("text", GML_CASES.values(), ids=list(GML_CASES))
+def test_gml_matches_reference_loader_on_edge_cases(text):
+    assert_gml_matches_oracle(text)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(gml_documents())
+def test_gml_matches_reference_loader(text):
+    assert_gml_matches_oracle(text)
+
+
+def test_gml_error_precedence():
+    # The tokenizer sees the whole file before any bracket is matched.
+    with pytest.raises(GraphParseError, match=r"^unterminated string \(line 2\)$"):
+        load_gml(GML_CASES["unterminated string after a bracket error"])
+    # Node and edge errors wait until the whole file has parsed.
+    with pytest.raises(GraphParseError, match=r"stray '\]' \(line 2\)$"):
+        load_gml(GML_CASES["semantic error before a syntax error"])
+    with pytest.raises(GraphParseError, match=r"^duplicate node id 1 \(line 2\)$"):
+        load_gml(GML_CASES["semantic error before an undeclared node"])
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((2, 0, ((),)), "n does not match adjacency length"),
+        ((1, 0, ((),), ("a", "b")), "external_names length does not match n"),
+        ((1, 0, ((0,),)), "self-loop at vertex 0"),
+        ((3, 1, ((2, 1), (0,), (0,))), "adjacency of 0 not sorted/duplicate-free"),
+        ((2, 1, ((1, 1), (0,))), "adjacency of 0 not sorted/duplicate-free"),
+        ((2, 1, ((-1,), ())), "adjacency of 0 not sorted/duplicate-free"),
+        ((2, 1, ((2,), (0,))), "neighbor 2 of 0 out of range"),
+        ((2, 2, ((1,), (0,))), "m inconsistent with adjacency lists"),
+        ((3, 1, ((), (0,), (0,))), "edge {0, 1} not symmetric"),
+        ((4, 1, ((1,), (), (3,), ())), "edge {1, 0} not symmetric"),
+        ((4, 2, ((1, 2), (0,), (), (2,))), "edge {2, 0} not symmetric"),
+    ],
+)
+def test_graph_rejects_invalid_representation(args, message):
+    with pytest.raises(ValueError) as err:
+        Graph(*args)
+    assert str(err.value) == message
+    assert oracles.graph_check_oracle(*args) == message
+
+
+@st.composite
+def _adjacencies(draw):
+    n = draw(st.integers(1, 7))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.sets(st.tuples(vertex, vertex), max_size=12))
+    neigh = [set() for _ in range(n)]
+    for u, v in edges:
+        if u != v:
+            neigh[u].add(v)
+            neigh[v].add(u)
+    for _ in range(draw(st.integers(0, 2))):  # break symmetry
+        u, v = draw(vertex), draw(st.integers(-1, n))
+        neigh[u].symmetric_difference_update({v})
+    adjacency = tuple(tuple(sorted(a)) for a in neigh)
+    m = sum(map(len, adjacency)) // 2 + draw(st.sampled_from([0, 0, 0, 1]))
+    if draw(st.integers(0, 9)) == 0:
+        adjacency = adjacency[:-1] + (tuple(reversed(adjacency[-1])),)
+    return n, m, adjacency
+
+
+@settings(max_examples=500, deadline=None)
+@given(_adjacencies())
+def test_graph_validation_matches_reference(args):
+    expected = oracles.graph_check_oracle(*args)
+    try:
+        Graph(*args)
+    except ValueError as err:
+        assert str(err) == expected
+    else:
+        assert expected is None
+
+
+def test_validation_is_linear_in_degree():
+    # A quadratic symmetry check takes seconds on this star.
+    leaves = 30_000
+    start = time.perf_counter()
+    g = Graph.from_edges(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+    assert time.perf_counter() - start < 1.0
+    assert g.max_degree() == leaves
+
+
+def test_gml_scan_is_linear_in_whitespace():
+    # A scanner that retries the trailing whitespace from every position
+    # takes seconds here.
+    text = "graph [ node [ id 1 ] ]" + " \n" * 5_000
+    start = time.perf_counter()
+    g, _ = load_gml(text)
+    assert time.perf_counter() - start < 1.0
+    assert g.n == 1
