@@ -4,10 +4,6 @@ Exit codes: 0 success/converged, 1 input error, 2 step cap hit without
 convergence, 64 usage error.  Graph arguments accept an embedded fixture
 name (karate, c4, path3, star4, triangles-bridge) or a file path; paths
 ending in .gml parse as GML, anything else as an edge list.
-
-The LPA_THREADS environment variable caps the worker count used for
-stage-parallel updates and concurrent trials (default: all available
-cores).
 """
 
 from __future__ import annotations
@@ -15,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -47,19 +42,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _tie(value: str) -> TieStrategy:
     return TieStrategy.RANDOM if value == "lpa" else TieStrategy(value)
-
-
-def _workers() -> int:
-    raw = os.environ.get("LPA_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"LPA_THREADS must be a positive integer, got {raw!r}")
-    return value
 
 
 def load_graph(ref: str) -> tuple[Graph, LoadReport, str]:
@@ -125,7 +107,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if coloring is None:
             raise ValueError("--coloring-out only applies to semi-sync timing")
         Path(args.coloring_out).write_text(coloring_csv(coloring))
-    state, metrics = run(graph, config, coloring, workers=_workers())
+    state, metrics = run(graph, config, coloring)
     part = extract_communities(graph, state.labels)
     stats = partition_stats(part)
     q = modularity(graph, part) if graph.m else None
@@ -223,7 +205,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         else [TimingModel(args.timing)]
     )
     ties = list(TieStrategy) if args.all_ties else [_tie(args.tie)]
-    workers = _workers()
 
     outdir: Path | None = None
     if args.out is not None:
@@ -241,7 +222,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 base_seed=args.seed,
                 step_cap=args.cap,
             )
-            summary = run_experiment(setting, workers=workers)
+            summary = run_experiment(setting)
             summary = dataclasses.replace(summary, network=name)
             summaries.append(summary)
             if outdir is not None:

@@ -10,7 +10,6 @@ across configurations.
 from __future__ import annotations
 
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .coloring import color_from_labels
@@ -172,20 +171,10 @@ def _summarize(values: list[float]) -> MetricSummary:
     )
 
 
-def run_experiment(setting: TestSetting, workers: int = 1) -> ExperimentSummary:
-    """Run all trials of a setting and aggregate.
-
-    Trials are independent and may run on several workers; results are
-    folded in trial-index order either way, so the summary is identical
-    for any worker count.
-    """
+def run_experiment(setting: TestSetting) -> ExperimentSummary:
+    """Run all trials of a setting in trial-index order and aggregate."""
     graph, name = setting.resolve_network()
-    indices = range(setting.trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda i: _run_one(graph, setting, i), indices))
-    else:
-        results = [_run_one(graph, setting, i) for i in indices]
+    results = [_run_one(graph, setting, i) for i in range(setting.trials)]
 
     converged = [r for r in results if r.converged]
     return ExperimentSummary(

@@ -15,16 +15,18 @@ Ties (several labels sharing the maximum neighbor count) are resolved by
 one of four strategies: uniform random, keep-current-if-maximal (Prec),
 highest label value (Max), or Prec then Max.
 
-Randomized decisions draw from per-decision streams derived from
-``(seed, step, stage, vertex)``, so results never depend on the order in
-which independent updates are executed; sequential and parallel
-execution of the same configuration are bit-identical.
+All three models run the same sweep over (stage, vertex) pairs; they
+differ only in when an update becomes visible.  Randomized decisions
+draw from per-decision streams derived from ``(seed, step, stage,
+vertex)``, so results never depend on the order in which the updates of
+one stage are executed: any within-stage order gives bit-identical
+labels.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401 - bench/layers.py patches this name
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Sequence
@@ -35,9 +37,6 @@ from .rng import Stream, mix64
 
 _TAG_TIE = 0x1
 _TAG_PERM = 0x2
-
-_PARALLEL_MIN_BATCH = 64  # below this, thread dispatch costs more than it saves
-
 
 class TieStrategy(Enum):
     RANDOM = "random"
@@ -56,11 +55,15 @@ class StopCriterion(Enum):
     """When to stop iterating.
 
     NO_CHANGE stops once a step changes nothing.  C1 stops once every
-    vertex already holds a maximal-frequency neighbor label, i.e. any
-    changes in the step came only from ties.  C2 stops when the labeling
-    equals the one from one or two steps earlier; it is sound only for
-    synchronous Max-family runs (which never cycle with period above
-    two) and may stop inside a longer cycle elsewhere.
+    change in the last step was tie-only: each vertex that changed label
+    had two or more maximal labels when it updated (see check_c1).  Tie
+    flags reflect each vertex's view at its own update, so C1 can stop at
+    a labeling that fails labels_locally_maximal: in seeded karate
+    experiments, up to about 7 percent of trials, depending on timing,
+    tie and seed.  C2 stops when the labeling equals the one from one or
+    two steps earlier; it is sound only for synchronous Max-family runs
+    (which never cycle with period above two) and may stop inside a
+    longer cycle elsewhere.
     """
 
     NO_CHANGE = "no-change"
@@ -200,127 +203,59 @@ def _assert_in_argmax(neigh: tuple[int, ...], labels: Sequence[int], chosen: int
     return counts.get(chosen, 0) == max(counts.values())
 
 
-def _decide_batch(
+def _sweep(
     graph: Graph,
-    vertices: Iterable[int],
-    labels: Sequence[int],
-    tie: TieStrategy,
-    rng: DecisionRng,
-    step: int,
-    stage_of: "Sequence[int] | None",
-    stage: int,
-) -> list[tuple[int, int, bool]]:
-    """Compute (vertex, new_label, tie_flag) for each non-isolated vertex.
-
-    Reads only `labels`; never writes.  `stage_of` supplies per-vertex
-    stage indices when one batch spans several stages (async); otherwise
-    the constant `stage` applies.
-    """
-    adjacency = graph.adjacency
-    out: list[tuple[int, int, bool]] = []
-    for v in vertices:
-        neigh = adjacency[v]
-        if not neigh:
-            continue  # isolated: keeps its label forever
-        counts: dict[int, int] = {}
-        best = 0
-        for u in neigh:
-            label = labels[u]
-            c = counts.get(label, 0) + 1
-            counts[label] = c
-            if c > best:
-                best = c
-        cands = [label for label, count in counts.items() if count == best]
-        tie_flag = len(cands) > 1
-        current = labels[v]
-        if tie_flag:
-            cands.sort()
-            stream = None
-            if tie is TieStrategy.RANDOM or (tie is TieStrategy.PREC and current not in cands):
-                s = stage_of[v] if stage_of is not None else stage
-                stream = rng.tie_stream(step, s, v)
-            new = _pick(cands, current, tie, stream)
-        else:
-            new = cands[0]
-        if __debug__:
-            assert _assert_in_argmax(neigh, labels, new)
-        out.append((v, new, tie_flag))
-    return out
-
-
-def _decide(
-    graph: Graph,
-    vertices: Sequence[int],
-    labels: Sequence[int],
-    tie: TieStrategy,
-    rng: DecisionRng,
-    step: int,
-    stage: int,
-    pool: "ThreadPoolExecutor | None",
-    workers: int,
-) -> list[tuple[int, int, bool]]:
-    """Batch decisions, chunked over the pool when one is provided.
-
-    Decisions are independent (per-decision streams), so the chunked
-    results equal the sequential ones; they are re-assembled in vertex
-    order either way.
-    """
-    if pool is None or workers <= 1 or len(vertices) < _PARALLEL_MIN_BATCH:
-        return _decide_batch(graph, vertices, labels, tie, rng, step, None, stage)
-    chunk = (len(vertices) + workers - 1) // workers
-    futures = [
-        pool.submit(
-            _decide_batch, graph, vertices[i : i + chunk], labels, tie, rng, step, None, stage
-        )
-        for i in range(0, len(vertices), chunk)
-    ]
-    out: list[tuple[int, int, bool]] = []
-    for future in futures:
-        out.extend(future.result())
-    return out
-
-
-def _advance(
     state: LabelState,
-    graph: Graph,
-    new_labels: Sequence[int],
-    changed: set[int],
-    tie_changed: set[int],
+    schedule: Iterable[tuple[int, int]],
+    tie: TieStrategy,
+    rng: DecisionRng,
+    synchronous: bool,
 ) -> LabelState:
-    labels = tuple(new_labels)
+    """One step: update each vertex of the (stage, vertex) schedule in order.
+
+    Synchronous updates all read the previous step's labels; otherwise
+    each update is visible to every later one.  The stage index only
+    seeds the vertex's tie stream.  Isolated vertices keep their label.
+    """
+    step = state.step + 1
+    labels = list(state.labels)
+    read = state.labels if synchronous else labels
+    adjacency = graph.adjacency
+    changed: set[int] = set()
+    tie_changed: set[int] = set()
+    for stage, v in schedule:
+        if not adjacency[v]:
+            continue
+        cands = _argmax_labels(neighbor_frequencies(graph, v, read))
+        tie_flag = len(cands) > 1
+        current = read[v]
+        stream = None
+        if tie_flag and (
+            tie is TieStrategy.RANDOM or (tie is TieStrategy.PREC and current not in cands)
+        ):
+            stream = rng.tie_stream(step, stage, v)
+        new = _pick(cands, current, tie, stream)
+        if __debug__:
+            assert _assert_in_argmax(adjacency[v], read, new)
+        if new != current:
+            labels[v] = new
+            changed.add(v)
+            if tie_flag:
+                tie_changed.add(v)
+    final = tuple(labels)
     return replace(
         state,
-        labels=labels,
-        step=state.step + 1,
-        f_trace=state.f_trace + (monochromatic_edge_count(graph, labels),),
+        labels=final,
+        step=step,
+        f_trace=state.f_trace + (monochromatic_edge_count(graph, final),),
         last_changed=frozenset(changed),
         last_tie_changed=frozenset(tie_changed),
     )
 
 
-def sync_step(
-    graph: Graph,
-    state: LabelState,
-    tie: TieStrategy,
-    rng: DecisionRng,
-    pool: "ThreadPoolExecutor | None" = None,
-    workers: int = 1,
-) -> LabelState:
+def sync_step(graph: Graph, state: LabelState, tie: TieStrategy, rng: DecisionRng) -> LabelState:
     """One synchronous step: every vertex updates from the previous labels."""
-    step = state.step + 1
-    old = state.labels
-    new = list(old)
-    changed: set[int] = set()
-    tie_changed: set[int] = set()
-    for v, label, tie_flag in _decide(
-        graph, range(graph.n), old, tie, rng, step, 0, pool, workers
-    ):
-        if label != old[v]:
-            new[v] = label
-            changed.add(v)
-            if tie_flag:
-                tie_changed.add(v)
-    return _advance(state, graph, new, changed, tie_changed)
+    return _sweep(graph, state, ((0, v) for v in range(graph.n)), tie, rng, True)
 
 
 def async_step(
@@ -337,24 +272,11 @@ def async_step(
     step's.  Inherently sequential within the step.  Pass `order` to pin
     the permutation instead of drawing it from `rng`.
     """
-    step = state.step + 1
     if order is None:
-        order = rng.step_permutation(step, graph.n)
+        order = rng.step_permutation(state.step + 1, graph.n)
     elif sorted(order) != list(range(graph.n)):
         raise ValueError("order must be a permutation of the vertices")
-    labels = list(state.labels)
-    changed: set[int] = set()
-    tie_changed: set[int] = set()
-    for position, v in enumerate(order):
-        for _, label, tie_flag in _decide_batch(
-            graph, (v,), labels, tie, rng, step, None, position
-        ):
-            if label != labels[v]:
-                labels[v] = label
-                changed.add(v)
-                if tie_flag:
-                    tie_changed.add(v)
-    return _advance(state, graph, labels, changed, tie_changed)
+    return _sweep(graph, state, enumerate(order), tie, rng, False)
 
 
 def semi_sync_step(
@@ -363,31 +285,17 @@ def semi_sync_step(
     coloring: Coloring,
     tie: TieStrategy,
     rng: DecisionRng,
-    pool: "ThreadPoolExecutor | None" = None,
-    workers: int = 1,
 ) -> LabelState:
     """One staged step: color classes update in ascending class order.
 
     Within a stage every vertex of the class updates from the labels as
-    of the stage start; properness guarantees no two stage-mates are
-    adjacent, so their updates are independent and their processing
-    order (or parallel execution) cannot matter.
+    of the stage start: properness guarantees no two stage-mates are
+    adjacent, so updating in place reads the same labels, and the
+    processing order within a stage cannot matter.
     """
     coloring.check_proper(graph)
-    step = state.step + 1
-    labels = list(state.labels)
-    changed: set[int] = set()
-    tie_changed: set[int] = set()
-    for stage, cls in enumerate(coloring.classes):
-        for v, label, tie_flag in _decide(
-            graph, cls, labels, tie, rng, step, stage, pool, workers
-        ):
-            if label != labels[v]:
-                labels[v] = label
-                changed.add(v)
-                if tie_flag:
-                    tie_changed.add(v)
-    return _advance(state, graph, labels, changed, tie_changed)
+    schedule = ((stage, v) for stage, cls in enumerate(coloring.classes) for v in cls)
+    return _sweep(graph, state, schedule, tie, rng, False)
 
 
 def check_c1(
@@ -414,26 +322,22 @@ def labels_locally_maximal(graph: Graph, labels: Sequence[int]) -> bool:
     under PREC or PREC_MAX changes nothing.
     """
     for v in range(graph.n):
-        neigh = graph.adjacency[v]
-        if not neigh:
-            continue
-        counts: dict[int, int] = {}
-        for u in neigh:
-            label = labels[u]
-            counts[label] = counts.get(label, 0) + 1
-        if counts.get(labels[v], 0) != max(counts.values()):
+        counts = neighbor_frequencies(graph, v, labels)
+        if counts and counts.get(labels[v], 0) != max(counts.values()):
             return False
     return True
 
 
-def check_c2(history: Sequence[Sequence[int]]) -> bool:
-    """True iff the newest labeling equals the one 1 or 2 steps before it."""
+def check_c2(history: Sequence[Sequence[int]]) -> int:
+    """The period (1 or 2) with which the newest labeling repeats an
+    earlier one, or 0 if it equals neither of the two before it."""
     if len(history) < 2:
         raise ValueError("need at least two labelings")
-    current = history[-1]
-    if tuple(current) == tuple(history[-2]):
-        return True
-    return len(history) >= 3 and tuple(current) == tuple(history[-3])
+    current = tuple(history[-1])
+    for period in (1, 2):
+        if len(history) > period and current == tuple(history[-1 - period]):
+            return period
+    return 0
 
 
 def initial_state(graph: Graph, labels: "Sequence[int] | None" = None) -> LabelState:
@@ -485,7 +389,6 @@ def run(
     graph: Graph,
     config: RunConfig,
     coloring: "Coloring | None" = None,
-    workers: int = 1,
 ) -> tuple[LabelState, RunMetrics]:
     """Iterate the configured step until the stop criterion fires or the
     step cap is reached.
@@ -508,38 +411,32 @@ def run(
     state = initial_state(graph, config.initial_labels)
     rng = DecisionRng(config.seed)
     history: deque[tuple[int, ...]] = deque([state.labels], maxlen=3)
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while state.step < config.step_cap:
-            if config.timing is TimingModel.SYNCHRONOUS:
-                state = sync_step(graph, state, config.tie, rng, pool, workers)
-            elif config.timing is TimingModel.ASYNCHRONOUS:
-                state = async_step(graph, state, config.tie, rng)
-            else:
-                state = semi_sync_step(graph, state, coloring, config.tie, rng, pool, workers)
-                _check_monotone(state)
-            history.append(state.labels)
-
-            reason = None
-            if config.stop is StopCriterion.NO_CHANGE:
-                if not state.last_changed:
-                    reason = "no-change"
-            elif config.stop is StopCriterion.C1:
-                if state.last_changed <= state.last_tie_changed:
-                    reason = "c1"
-            else:
-                if len(history) >= 2 and state.labels == history[-2]:
-                    reason = "c2-period-1"
-                elif len(history) >= 3 and state.labels == history[-3]:
-                    reason = "c2-period-2"
-            if reason is not None:
-                state = replace(state, status=RunStatus.CONVERGED, stop_reason=reason)
-                break
+    while state.step < config.step_cap:
+        if config.timing is TimingModel.SYNCHRONOUS:
+            state = sync_step(graph, state, config.tie, rng)
+        elif config.timing is TimingModel.ASYNCHRONOUS:
+            state = async_step(graph, state, config.tie, rng)
         else:
-            state = replace(state, status=RunStatus.CAP_EXCEEDED, stop_reason="step-cap")
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            state = semi_sync_step(graph, state, coloring, config.tie, rng)
+            _check_monotone(state)
+        history.append(state.labels)
+
+        reason = None
+        if config.stop is StopCriterion.NO_CHANGE:
+            if not state.last_changed:
+                reason = "no-change"
+        elif config.stop is StopCriterion.C1:
+            if check_c1(graph, history[-2], state.labels, state.last_tie_changed):
+                reason = "c1"
+        else:
+            period = check_c2(history)
+            if period:
+                reason = f"c2-period-{period}"
+        if reason is not None:
+            state = replace(state, status=RunStatus.CONVERGED, stop_reason=reason)
+            break
+    else:
+        state = replace(state, status=RunStatus.CAP_EXCEEDED, stop_reason="step-cap")
 
     num_colors = coloring.num_colors if coloring is not None else None
     metrics = RunMetrics(

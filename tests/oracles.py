@@ -2,9 +2,10 @@
 
 Nothing here imports from labelprop: modularity is evaluated from edges
 and exact rational arithmetic, the staged propagation oracle is a
-separate minimal implementation, and the Graph checks and GML loader are
+separate minimal implementation, the Graph checks and GML loader are
 the straightforward versions that the package's linear-time ones
-replaced.  Expected values frozen into tests were produced by these
+replaced, and the reference propagation is the per-timing-model step
+code that the package's single update sweep replaced.  Expected values frozen into tests were produced by these
 functions.
 """
 
@@ -300,3 +301,195 @@ def gml_oracle(source: "str | TextIO") -> tuple:
     if not names:
         raise GmlOracleError("empty graph: no vertices found")
     return tuple(names), sorted(edges), (self_loops, duplicates, directed, weights_seen)
+
+
+# --- reference propagation ----------------------------------------------------
+#
+# The step code that the package's single (stage, vertex) sweep replaced:
+# a batch decider that reads a labeling without writing it, one step loop
+# per timing model, and run()'s stop logic written out inline.  Timings,
+# ties and stops are their string values; `rng` is any object with the
+# package's DecisionRng methods `tie_stream(step, stage, vertex)` (a
+# stream with `below(k)`) and `step_permutation(step, n)`.
+
+
+def _reference_pick(cands: list[int], current: int, tie: str, stream) -> int:
+    if len(cands) == 1:
+        return cands[0]
+    if tie == "max":
+        return cands[-1]
+    if tie == "prec-max":
+        return current if current in cands else cands[-1]
+    if tie == "prec" and current in cands:
+        return current
+    return cands[stream.below(len(cands))]
+
+
+def reference_decide_batch(
+    adjacency: Sequence[Sequence[int]],
+    vertices: Iterable[int],
+    labels: Sequence[int],
+    tie: str,
+    rng,
+    step: int,
+    stage_of: "Sequence[int] | None",
+    stage: int,
+) -> list[tuple[int, int, bool]]:
+    """(vertex, new_label, tie_flag) for each non-isolated vertex; reads only `labels`."""
+    out: list[tuple[int, int, bool]] = []
+    for v in vertices:
+        neigh = adjacency[v]
+        if not neigh:
+            continue
+        counts: dict[int, int] = {}
+        best = 0
+        for u in neigh:
+            label = labels[u]
+            c = counts.get(label, 0) + 1
+            counts[label] = c
+            if c > best:
+                best = c
+        cands = [label for label, count in counts.items() if count == best]
+        tie_flag = len(cands) > 1
+        current = labels[v]
+        if tie_flag:
+            cands.sort()
+            stream = None
+            if tie == "random" or (tie == "prec" and current not in cands):
+                s = stage_of[v] if stage_of is not None else stage
+                stream = rng.tie_stream(step, s, v)
+            new = _reference_pick(cands, current, tie, stream)
+        else:
+            new = cands[0]
+        out.append((v, new, tie_flag))
+    return out
+
+
+def reference_f(adjacency: Sequence[Sequence[int]], labels: Sequence[int]) -> int:
+    """Monochromatic-edge count."""
+    return sum(
+        1 for v, neigh in enumerate(adjacency) for u in neigh if u > v and labels[u] == labels[v]
+    )
+
+
+# A reference step maps (labels, step number) to (labels, changed, tie_changed).
+StepResult = tuple[tuple[int, ...], set[int], set[int]]
+
+
+def reference_sync_step(adjacency, labels, step: int, tie: str, rng) -> StepResult:
+    old = tuple(labels)
+    new = list(old)
+    changed: set[int] = set()
+    tie_changed: set[int] = set()
+    for v, label, tie_flag in reference_decide_batch(
+        adjacency, range(len(adjacency)), old, tie, rng, step, None, 0
+    ):
+        if label != old[v]:
+            new[v] = label
+            changed.add(v)
+            if tie_flag:
+                tie_changed.add(v)
+    return tuple(new), changed, tie_changed
+
+
+def reference_async_step(adjacency, labels, step: int, tie: str, rng, order=None) -> StepResult:
+    if order is None:
+        order = rng.step_permutation(step, len(adjacency))
+    labels = list(labels)
+    changed: set[int] = set()
+    tie_changed: set[int] = set()
+    for position, v in enumerate(order):
+        for _, label, tie_flag in reference_decide_batch(
+            adjacency, (v,), labels, tie, rng, step, None, position
+        ):
+            if label != labels[v]:
+                labels[v] = label
+                changed.add(v)
+                if tie_flag:
+                    tie_changed.add(v)
+    return tuple(labels), changed, tie_changed
+
+
+def reference_semi_sync_step(adjacency, labels, step: int, classes, tie: str, rng) -> StepResult:
+    labels = list(labels)
+    changed: set[int] = set()
+    tie_changed: set[int] = set()
+    for stage, cls in enumerate(classes):
+        for v, label, tie_flag in reference_decide_batch(
+            adjacency, cls, labels, tie, rng, step, None, stage
+        ):
+            if label != labels[v]:
+                labels[v] = label
+                changed.add(v)
+                if tie_flag:
+                    tie_changed.add(v)
+    return tuple(labels), changed, tie_changed
+
+
+def reference_run(
+    adjacency: Sequence[Sequence[int]],
+    timing: str,
+    tie: str,
+    stop: str,
+    rng,
+    step_cap: int,
+    initial_labels: Sequence[int],
+    classes: "Sequence[Sequence[int]] | None" = None,
+) -> dict:
+    """Step until the stop criterion fires or `step_cap` steps have run.
+
+    Returns the final labels, step count, f before and after each step,
+    status and stop reason, the last step's changed and tie-changed
+    vertex sets, and the stage count.
+    """
+    labels = tuple(initial_labels)
+    history = [labels]
+    f_trace: list[int] = []
+    changed: set[int] = set()
+    tie_changed: set[int] = set()
+    status, reason = "cap_exceeded", "step-cap"
+    step = 0
+    while step < step_cap:
+        step += 1
+        if timing == "sync":
+            labels, changed, tie_changed = reference_sync_step(adjacency, labels, step, tie, rng)
+        elif timing == "async":
+            labels, changed, tie_changed = reference_async_step(adjacency, labels, step, tie, rng)
+        else:
+            labels, changed, tie_changed = reference_semi_sync_step(
+                adjacency, labels, step, classes, tie, rng
+            )
+        f_trace.append(reference_f(adjacency, labels))
+        history.append(labels)
+        found = None
+        if stop == "no-change":
+            if not changed:
+                found = "no-change"
+        elif stop == "c1":
+            if changed <= tie_changed:
+                found = "c1"
+        else:
+            if labels == history[-2]:
+                found = "c2-period-1"
+            elif len(history) >= 3 and labels == history[-3]:
+                found = "c2-period-2"
+        if found is not None:
+            status, reason = "converged", found
+            break
+    if timing == "sync":
+        per_step = 1
+    elif timing == "async":
+        per_step = len(adjacency)
+    else:
+        per_step = len(classes)
+    return {
+        "labels": labels,
+        "steps": step,
+        "stages": step * per_step,
+        "f_start": reference_f(adjacency, initial_labels),
+        "f_trace": tuple(f_trace),
+        "status": status,
+        "stop_reason": reason,
+        "last_changed": frozenset(changed),
+        "last_tie_changed": frozenset(tie_changed),
+    }

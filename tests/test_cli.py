@@ -17,8 +17,7 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_run_karate_smoke(capsys, monkeypatch):
-    monkeypatch.setenv("LPA_THREADS", "1")
+def test_run_karate_smoke(capsys):
     code, out, _ = run_cli(capsys, "run", "karate", "--timing", "semi-sync",
                            "--tie", "prec-max", "--seed", "1")
     assert code == 0
@@ -58,13 +57,6 @@ def test_missing_command_exits_64(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 64
-
-
-def test_invalid_lpa_threads_is_input_error(capsys, monkeypatch):
-    monkeypatch.setenv("LPA_THREADS", "zero")
-    code, _, err = run_cli(capsys, "run", "c4")
-    assert code == 1
-    assert "LPA_THREADS" in err
 
 
 def test_run_output_is_byte_stable(capsys):

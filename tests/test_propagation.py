@@ -33,7 +33,15 @@ from labelprop.propagation import (
 )
 from labelprop.rng import Stream
 
-from oracles import random_graph, staged_precmax_oracle
+from oracles import (
+    random_graph,
+    reference_async_step,
+    reference_f,
+    reference_run,
+    reference_semi_sync_step,
+    reference_sync_step,
+    staged_precmax_oracle,
+)
 
 RNG = DecisionRng(12345)
 
@@ -272,6 +280,13 @@ def test_check_c2_period_two_orbit():
 
 def test_check_c2_three_distinct():
     assert not check_c2([(1, 2), (2, 1), (1, 1)])
+
+
+def test_check_c2_reports_the_period():
+    assert check_c2([(1, 2), (1, 2)]) == 1
+    assert check_c2([(1, 2), (2, 1), (1, 2)]) == 2
+    assert check_c2([(1, 2), (2, 1), (1, 1)]) == 0
+    assert check_c2([(2, 1), (1, 1)]) == 0
 
 
 def test_check_c2_needs_history():
@@ -534,21 +549,6 @@ def test_within_stage_order_is_irrelevant():
             assert other.labels == base.labels
 
 
-def test_multi_worker_execution_matches_sequential():
-    g = fixtures.graph("karate")
-    init = list(range(g.n))
-    random.Random(8).shuffle(init)
-    col = color_from_labels(g, init)
-    for timing in (TimingModel.SYNCHRONOUS, TimingModel.SEMI_SYNCHRONOUS):
-        coloring = col if timing is TimingModel.SEMI_SYNCHRONOUS else None
-        for tie in every_tie():
-            cfg = RunConfig(timing=timing, tie=tie, seed=13, step_cap=50,
-                            initial_labels=tuple(init))
-            solo, _ = run(g, cfg, coloring, workers=1)
-            multi, _ = run(g, cfg, coloring, workers=4)
-            assert multi.labels == solo.labels
-
-
 # --- stage accounting ----------------------------------------------------------
 
 
@@ -579,3 +579,93 @@ def test_every_update_lands_in_argmax(graph_seed, run_seed, tie):
         for v in state.last_changed:
             freqs = neighbor_frequencies(g, v, before)
             assert freqs[state.labels[v]] == max(freqs.values())
+
+
+# --- differential against the reference step code -------------------------------
+
+
+@st.composite
+def propagation_cases(draw):
+    """A small graph (isolated vertices likely), initial labels that may
+    repeat, and a vertex permutation (coloring order or pinned async order)."""
+    n = draw(st.integers(1, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    labels = draw(
+        st.one_of(
+            st.permutations(range(n)),
+            st.lists(st.integers(0, n), min_size=n, max_size=n),
+        )
+    )
+    order = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, edges), tuple(labels), order
+
+
+def _state_fields(state):
+    return (state.labels, state.f_trace, state.last_changed, state.last_tie_changed)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    propagation_cases(),
+    st.sampled_from(list(TimingModel)),
+    st.sampled_from(every_tie()),
+    st.sampled_from(list(StopCriterion)),
+    st.integers(0, 2**63),
+    st.integers(1, 40),
+)
+def test_run_matches_reference(case, timing, tie, stop, seed, cap):
+    g, init, order = case
+    coloring = greedy_color(g, order) if timing is TimingModel.SEMI_SYNCHRONOUS else None
+    cfg = RunConfig(timing=timing, tie=tie, stop=stop, seed=seed, step_cap=cap,
+                    initial_labels=init)
+    state, metrics = run(g, cfg, coloring)
+    ref = reference_run(g.adjacency, timing.value, tie.value, stop.value, DecisionRng(seed),
+                        cap, init, coloring.classes if coloring else None)
+    assert _state_fields(state) == (
+        ref["labels"], ref["f_trace"], ref["last_changed"], ref["last_tie_changed"]
+    )
+    assert (state.step, state.f_start, state.status.value, state.stop_reason) == (
+        ref["steps"], ref["f_start"], ref["status"], ref["stop_reason"]
+    )
+    assert (metrics.steps, metrics.stages, metrics.f_start, metrics.f_trace,
+            metrics.status.value, metrics.stop_reason) == (
+        ref["steps"], ref["stages"], ref["f_start"], ref["f_trace"],
+        ref["status"], ref["stop_reason"],
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(propagation_cases(), st.sampled_from(every_tie()), st.integers(0, 2**63),
+       st.booleans())
+def test_step_functions_match_reference(case, tie, seed, pin_order):
+    g, init, order = case
+    rng = DecisionRng(seed)
+    coloring = greedy_color(g, order)
+    pinned = order if pin_order else None
+    steppers = [
+        (
+            lambda s: sync_step(g, s, tie, rng),
+            lambda labels, k: reference_sync_step(g.adjacency, labels, k, tie.value, rng),
+        ),
+        (
+            lambda s: async_step(g, s, tie, rng, pinned),
+            lambda labels, k: reference_async_step(g.adjacency, labels, k, tie.value, rng, pinned),
+        ),
+        (
+            lambda s: semi_sync_step(g, s, coloring, tie, rng),
+            lambda labels, k: reference_semi_sync_step(
+                g.adjacency, labels, k, coloring.classes, tie.value, rng
+            ),
+        ),
+    ]
+    for step, reference in steppers:
+        state = initial_state(g, init)
+        labels, f_trace = init, ()
+        for k in range(1, 4):
+            state = step(state)
+            labels, changed, tie_changed = reference(labels, k)
+            f_trace += (reference_f(g.adjacency, labels),)
+            assert state.step == k
+            assert _state_fields(state) == (labels, f_trace, changed, tie_changed)
+            assert (state.status, state.stop_reason) == (RunStatus.RUNNING, None)
