@@ -69,13 +69,10 @@ def _report_dict(report: LoadReport) -> dict:
     }
 
 
-def _note_report(ref: str, report: LoadReport) -> None:
-    """Tell stderr what loading a graph file normalized away, if anything.
-
-    Fixtures are skipped: their 'v v' lines only fix the vertex order.
-    """
+def _note_report(report: LoadReport) -> None:
+    """Tell stderr what loading a graph normalized away, if anything."""
     dropped = {k: v for k, v in _report_dict(report).items() if v}
-    if dropped and ref not in fixtures.names():
+    if dropped:
         fields = " ".join(f"{k}={json.dumps(v)}" for k, v in dropped.items())
         print(f"note: load report: {fields}", file=sys.stderr)
 
@@ -92,7 +89,7 @@ def _emit(text: str, out: "Path | None" = None) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     graph, report, name = load_graph(args.graph)
-    _note_report(args.graph, report)
+    _note_report(report)
     config = RunConfig(
         timing=TimingModel(args.timing),
         tie=_tie(args.tie),
@@ -198,7 +195,7 @@ def _summary_csv_row(s: ExperimentSummary) -> str:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     graph, report, name = load_graph(args.graph)
-    _note_report(args.graph, report)
+    _note_report(report)
     timings = (
         [TimingModel.ASYNCHRONOUS, TimingModel.SEMI_SYNCHRONOUS]
         if args.both_timings

@@ -21,6 +21,17 @@ draw from per-decision streams derived from ``(seed, step, stage,
 vertex)``, so results never depend on the order in which the updates of
 one stage are executed: any within-stage order gives bit-identical
 labels.
+
+Within run, a step re-evaluates only the active vertices: those with a
+neighbor whose label changed since they were last evaluated, plus those
+whose last evaluation was a RANDOM tie.  Skipping the others is exact.
+A vertex's choice depends only on its neighbors' labels and its own, and
+its own label is the one its unchanged neighborhood chose last time,
+which every tie rule but RANDOM keeps choosing, without a draw: Max picks
+the same largest label and Prec and Prec-Max keep the current one.  A
+RANDOM tie draws from a fresh stream each step, so it stays active.  The
+monochromatic-edge count f is updated from the edges at changed vertices
+rather than recounted.
 """
 
 from __future__ import annotations
@@ -210,52 +221,89 @@ def _sweep(
     tie: TieStrategy,
     rng: DecisionRng,
     synchronous: bool,
+    active: "bytearray | None",
 ) -> LabelState:
-    """One step: update each vertex of the (stage, vertex) schedule in order.
+    """One step: update each active vertex of the (stage, vertex) schedule in order.
 
     Synchronous updates all read the previous step's labels; otherwise
     each update is visible to every later one.  The stage index only
     seeds the vertex's tie stream.  Isolated vertices keep their label.
+
+    `active` holds one flag per vertex (None: all set); only flagged
+    vertices are evaluated, and the flags are left set for the vertices
+    the next step must evaluate.  An evaluation clears the vertex's flag,
+    except after a RANDOM tie, whose next draw comes from a fresh stream;
+    a label change sets the flags of the vertex's neighbors, after the
+    step when updates are synchronous (the neighbors evaluated this step
+    read the old label).  f is updated from the edges at changed vertices.
     """
     step = state.step + 1
-    labels = list(state.labels)
-    read = state.labels if synchronous else labels
+    old = state.labels
+    labels = list(old)
+    read = old if synchronous else labels
     adjacency = graph.adjacency
+    if active is None:
+        active = bytearray(b"\x01") * graph.n
+    random_ties = tie is TieStrategy.RANDOM
     changed: set[int] = set()
     tie_changed: set[int] = set()
     for stage, v in schedule:
-        if not adjacency[v]:
+        if not active[v]:
+            continue
+        neigh = adjacency[v]
+        if not neigh:
+            active[v] = 0
             continue
         cands = _argmax_labels(neighbor_frequencies(graph, v, read))
         tie_flag = len(cands) > 1
+        if not (tie_flag and random_ties):
+            active[v] = 0
         current = read[v]
         stream = None
-        if tie_flag and (
-            tie is TieStrategy.RANDOM or (tie is TieStrategy.PREC and current not in cands)
-        ):
+        if tie_flag and (random_ties or (tie is TieStrategy.PREC and current not in cands)):
             stream = rng.tie_stream(step, stage, v)
         new = _pick(cands, current, tie, stream)
         if __debug__:
-            assert _assert_in_argmax(adjacency[v], read, new)
+            assert _assert_in_argmax(neigh, read, new)
         if new != current:
             labels[v] = new
             changed.add(v)
             if tie_flag:
                 tie_changed.add(v)
-    final = tuple(labels)
+            if not synchronous:
+                for u in neigh:
+                    active[u] = 1
+    f = state.f_trace[-1] if state.f_trace else state.f_start
+    for v in changed:
+        old_v, new_v = old[v], labels[v]
+        for u in adjacency[v]:
+            if synchronous:
+                active[u] = 1
+            if u > v or u not in changed:  # an edge between two changed vertices counts once
+                f += (labels[u] == new_v) - (old[u] == old_v)
     return replace(
         state,
-        labels=final,
+        labels=tuple(labels),
         step=step,
-        f_trace=state.f_trace + (monochromatic_edge_count(graph, final),),
+        f_trace=state.f_trace + (f,),
         last_changed=frozenset(changed),
         last_tie_changed=frozenset(tie_changed),
     )
 
 
-def sync_step(graph: Graph, state: LabelState, tie: TieStrategy, rng: DecisionRng) -> LabelState:
-    """One synchronous step: every vertex updates from the previous labels."""
-    return _sweep(graph, state, ((0, v) for v in range(graph.n)), tie, rng, True)
+def sync_step(
+    graph: Graph,
+    state: LabelState,
+    tie: TieStrategy,
+    rng: DecisionRng,
+    *,
+    active: "bytearray | None" = None,
+) -> LabelState:
+    """One synchronous step: every vertex updates from the previous labels.
+
+    Pass `active` to restrict the step to flagged vertices (see run).
+    """
+    return _sweep(graph, state, ((0, v) for v in range(graph.n)), tie, rng, True, active)
 
 
 def async_step(
@@ -264,19 +312,22 @@ def async_step(
     tie: TieStrategy,
     rng: DecisionRng,
     order: "Sequence[int] | None" = None,
+    *,
+    active: "bytearray | None" = None,
 ) -> LabelState:
     """One asynchronous step: a fresh random permutation, updated in place.
 
     Each vertex reads current labels, so earlier positions in the
     permutation contribute this step's labels and later ones the previous
     step's.  Inherently sequential within the step.  Pass `order` to pin
-    the permutation instead of drawing it from `rng`.
+    the permutation instead of drawing it from `rng`, and `active` to
+    restrict the step to flagged vertices (see run).
     """
     if order is None:
         order = rng.step_permutation(state.step + 1, graph.n)
     elif sorted(order) != list(range(graph.n)):
         raise ValueError("order must be a permutation of the vertices")
-    return _sweep(graph, state, enumerate(order), tie, rng, False)
+    return _sweep(graph, state, enumerate(order), tie, rng, False, active)
 
 
 def semi_sync_step(
@@ -285,17 +336,22 @@ def semi_sync_step(
     coloring: Coloring,
     tie: TieStrategy,
     rng: DecisionRng,
+    *,
+    active: "bytearray | None" = None,
 ) -> LabelState:
     """One staged step: color classes update in ascending class order.
 
     Within a stage every vertex of the class updates from the labels as
     of the stage start: properness guarantees no two stage-mates are
     adjacent, so updating in place reads the same labels, and the
-    processing order within a stage cannot matter.
+    processing order within a stage cannot matter.  The coloring is
+    checked first unless `active` is passed: that restricts the step to
+    flagged vertices, and its caller, run, checks the coloring once.
     """
-    coloring.check_proper(graph)
+    if active is None:
+        coloring.check_proper(graph)
     schedule = ((stage, v) for stage, cls in enumerate(coloring.classes) for v in cls)
-    return _sweep(graph, state, schedule, tie, rng, False)
+    return _sweep(graph, state, schedule, tie, rng, False, active)
 
 
 def check_c1(
@@ -400,6 +456,11 @@ def run(
     against the staged model's convergence guarantee: a step containing a
     non-tie change must strictly increase the monochromatic-edge count,
     otherwise MonotoneViolation aborts the run.
+
+    The first step evaluates every vertex; each later one only the
+    vertices a neighbor's label change or a RANDOM tie left active (see
+    the module docstring for why this gives the same labels as evaluating
+    all of them).  f is recounted only for the initial labeling.
     """
     if config.timing is TimingModel.SEMI_SYNCHRONOUS:
         if coloring is None:
@@ -410,14 +471,15 @@ def run(
 
     state = initial_state(graph, config.initial_labels)
     rng = DecisionRng(config.seed)
+    active = bytearray(b"\x01") * graph.n
     history: deque[tuple[int, ...]] = deque([state.labels], maxlen=3)
     while state.step < config.step_cap:
         if config.timing is TimingModel.SYNCHRONOUS:
-            state = sync_step(graph, state, config.tie, rng)
+            state = sync_step(graph, state, config.tie, rng, active=active)
         elif config.timing is TimingModel.ASYNCHRONOUS:
-            state = async_step(graph, state, config.tie, rng)
+            state = async_step(graph, state, config.tie, rng, active=active)
         else:
-            state = semi_sync_step(graph, state, coloring, config.tie, rng)
+            state = semi_sync_step(graph, state, coloring, config.tie, rng, active=active)
             _check_monotone(state)
         history.append(state.labels)
 

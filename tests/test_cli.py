@@ -166,6 +166,17 @@ def test_info_karate(capsys):
     assert doc["components"] == 1
 
 
+def test_info_karate_reports_no_normalization(capsys):
+    code, out, _ = run_cli(capsys, "info", "karate")
+    assert code == 0
+    assert json.loads(out)["report"] == {
+        "self_loops_dropped": 0,
+        "duplicate_edges_dropped": 0,
+        "symmetrized": False,
+        "weights_ignored": False,
+    }
+
+
 def test_info_c4(capsys):
     code, out, _ = run_cli(capsys, "info", "c4")
     assert code == 0

@@ -11,6 +11,7 @@ from labelprop import fixtures
 from labelprop.graphs import (
     Graph,
     GraphParseError,
+    LoadReport,
     dump_edge_list,
     load_edge_list,
     load_gml,
@@ -77,7 +78,14 @@ def test_karate_fixture_statistics():
 
 @pytest.mark.parametrize("name", fixtures.names())
 def test_fixture_invariants(name):
-    g = fixtures.graph(name)
+    g, report = fixtures.load(name)
+    assert report == LoadReport()
+    seen: set[str] = set()
+    for line in fixtures.fixture_text(name).splitlines():
+        if line and not line.startswith("#"):
+            a, b = line.split()
+            assert a != b or a not in seen, f"{line!r} is a self-loop, not a vertex declaration"
+            seen.update((a, b))
     assert sum(g.degree(v) for v in range(g.n)) == 2 * g.m
     for v in range(g.n):
         assert v not in g.adjacency[v]

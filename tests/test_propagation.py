@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelprop import fixtures
+from labelprop import fixtures, propagation
 from labelprop.coloring import Coloring, color_from_labels, greedy_color
 from labelprop.graphs import Graph
 from labelprop.propagation import (
@@ -669,3 +669,80 @@ def test_step_functions_match_reference(case, tie, seed, pin_order):
             assert state.step == k
             assert _state_fields(state) == (labels, f_trace, changed, tie_changed)
             assert (state.status, state.stop_reason) == (RunStatus.RUNNING, None)
+
+
+# --- active set and incremental f -----------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(propagation_cases(), st.sampled_from(list(TimingModel)), st.sampled_from(every_tie()),
+       st.integers(0, 2**63))
+def test_incremental_f_matches_recount(case, timing, tie, seed):
+    g, init, order = case
+    coloring = greedy_color(g, order) if timing is TimingModel.SEMI_SYNCHRONOUS else None
+    cfg = RunConfig(timing=timing, tie=tie, stop=StopCriterion.NO_CHANGE, seed=seed,
+                    step_cap=20, initial_labels=init)
+    states = []  # every state run()'s step functions return
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("sync_step", "async_step", "semi_sync_step"):
+            def recorded(*args, _step=getattr(propagation, name), **kwargs):
+                states.append(_step(*args, **kwargs))
+                return states[-1]
+            mp.setattr(propagation, name, recorded)
+        _, metrics = run(g, cfg, coloring)
+    assert len(states) == metrics.steps
+    assert metrics.f_trace == tuple(monochromatic_edge_count(g, s.labels) for s in states)
+
+
+def test_incremental_f_counts_an_edge_between_changed_vertices_once():
+    # sync Max moves both ends of the edge 0-1 onto label 2 in one step
+    g = fixtures.graph("c4")
+    s = sync_step(g, initial_state(g, (0, 1, 2, 2)), TieStrategy.MAX, RNG)
+    assert s.labels == (2, 2, 2, 2)
+    assert s.last_changed == {0, 1}
+    assert (s.f_start, s.f_trace) == (1, (4,))
+
+
+@pytest.mark.parametrize("timing", [TimingModel.SEMI_SYNCHRONOUS, TimingModel.ASYNCHRONOUS])
+def test_active_set_skips_settled_vertices(monkeypatch, timing):
+    g = seeded_graph(2024, 300, 0.02)
+    coloring = greedy_color(g, range(g.n)) if timing is TimingModel.SEMI_SYNCHRONOUS else None
+    cfg = RunConfig(timing=timing, tie=TieStrategy.PREC_MAX, seed=3)
+    evaluated = []
+    count = propagation.neighbor_frequencies
+
+    def counted(graph, v, labels):
+        evaluated.append(v)
+        return count(graph, v, labels)
+
+    monkeypatch.setattr(propagation, "neighbor_frequencies", counted)
+    state, metrics = run(g, cfg, coloring)
+    assert state.status is RunStatus.CONVERGED and metrics.steps > 2
+    assert len(evaluated) < metrics.steps * g.n
+
+
+@pytest.mark.parametrize("timing", list(TimingModel))
+@pytest.mark.parametrize("tie", [TieStrategy.RANDOM, TieStrategy.PREC])
+def test_active_set_draws_the_reference_tie_streams(monkeypatch, timing, tie):
+    g = fixtures.graph("karate")
+    draws = Counter()
+    tie_stream = DecisionRng.tie_stream
+
+    def counted(self, step, stage, vertex):
+        draws[step, stage, vertex] += 1
+        return tie_stream(self, step, stage, vertex)
+
+    monkeypatch.setattr(DecisionRng, "tie_stream", counted)
+    for seed in range(5):
+        init = tuple(random.Random(seed).sample(range(g.n), g.n))
+        semi = timing is TimingModel.SEMI_SYNCHRONOUS
+        coloring = color_from_labels(g, init) if semi else None
+        cfg = RunConfig(timing=timing, tie=tie, stop=StopCriterion.NO_CHANGE, seed=seed,
+                        step_cap=30, initial_labels=init)
+        draws.clear()
+        run(g, cfg, coloring)
+        ours = draws.copy()
+        draws.clear()
+        reference_run(g.adjacency, timing.value, tie.value, cfg.stop.value, DecisionRng(seed),
+                      cfg.step_cap, init, coloring.classes if semi else None)
+        assert ours and ours == draws
