@@ -20,7 +20,11 @@ tallied in a :class:`LoadReport` so callers can surface it.
 
 Ingestion is linear in the input size: each loader reads its text in one
 pass, and :class:`Graph` validation costs O(n + m) whatever the degrees.
-Only the sort of each vertex's neighbor list is not.
+Only the sort of each vertex's neighbor list is not.  No object is made
+per edge: the loaders append the two endpoint ids of every edge to one
+flat list, and each vertex's neighbor tuple is built from it through a
+set.  A GML block that holds only key/value scalars (``node [ id 5 label
+"x" ]``) is read in one regex match together with its key.
 """
 
 from __future__ import annotations
@@ -90,10 +94,10 @@ class Graph:
             for u in neigh:
                 if u == v:
                     raise ValueError(f"self-loop at vertex {v}")
-                if u <= prev:
-                    raise ValueError(f"adjacency of {v} not sorted/duplicate-free")
                 if not 0 <= u < self.n:
                     raise ValueError(f"neighbor {u} of {v} out of range")
+                if u <= prev:
+                    raise ValueError(f"adjacency of {v} not sorted/duplicate-free")
                 prev = u
                 if u < v:
                     c = cursor[u]
@@ -159,53 +163,37 @@ class Graph:
         return str(v)
 
 
-class _EdgeAccumulator:
-    """Shared normalization: dense remap, self-loop and duplicate drops."""
+def _assemble(
+    names: list[str], ends: list[int], *, symmetrized: bool = False, weights_ignored: bool = False
+) -> tuple[Graph, LoadReport]:
+    """Build the Graph of the edges listed pairwise in ``ends``, and its report.
 
-    def __init__(self) -> None:
-        self.ids: dict[str, int] = {}
-        self.names: list[str] = []
-        self.edges: set[tuple[int, int]] = set()
-        self.self_loops = 0
-        self.duplicates = 0
-
-    def vertex(self, token: str) -> int:
-        vid = self.ids.get(token)
-        if vid is None:
-            vid = len(self.names)
-            self.ids[token] = vid
-            self.names.append(token)
-        return vid
-
-    def fresh_vertex(self, name: str) -> int:
-        # GML nodes are distinct even when their display labels collide.
-        vid = len(self.names)
-        self.names.append(name)
-        return vid
-
-    def edge(self, u: int, v: int) -> None:
+    ``ends`` holds two endpoint ids per edge line or block, self-loops and
+    parallel edges included.  Self-loops are counted and dropped.  A
+    parallel edge lands in its endpoints' neighbor lists again but not in
+    their sets, so every non-loop pair beyond the m edges is a duplicate.
+    """
+    if not names:
+        raise GraphParseError("empty graph: no vertices found")
+    neigh: list[list[int]] = [[] for _ in names]
+    self_loops = 0
+    pairs = iter(ends)
+    for u, v in zip(pairs, pairs):
         if u == v:
-            self.self_loops += 1
-            return
-        key = (u, v) if u < v else (v, u)
-        if key in self.edges:
-            self.duplicates += 1
+            self_loops += 1
         else:
-            self.edges.add(key)
-
-    def build(self, *, symmetrized: bool = False, weights_ignored: bool = False) -> tuple[Graph, LoadReport]:
-        if not self.names:
-            raise GraphParseError("empty graph: no vertices found")
-        graph = Graph.from_edges(
-            len(self.names), self.edges, external_names=tuple(self.names)
-        )
-        report = LoadReport(
-            self_loops_dropped=self.self_loops,
-            duplicate_edges_dropped=self.duplicates,
-            symmetrized=symmetrized,
-            weights_ignored=weights_ignored,
-        )
-        return graph, report
+            neigh[u].append(v)
+            neigh[v].append(u)
+    adjacency = tuple([tuple(sorted(set(a))) for a in neigh])
+    m = sum(map(len, adjacency)) // 2
+    graph = Graph(len(names), m, adjacency, tuple(names))
+    report = LoadReport(
+        self_loops_dropped=self_loops,
+        duplicate_edges_dropped=len(ends) // 2 - self_loops - m,
+        symmetrized=symmetrized,
+        weights_ignored=weights_ignored,
+    )
+    return graph, report
 
 
 def load_edge_list(source: "str | TextIO") -> tuple[Graph, LoadReport]:
@@ -219,20 +207,21 @@ def load_edge_list(source: "str | TextIO") -> tuple[Graph, LoadReport]:
         GraphParseError: a line does not hold exactly two tokens, or the
             input contains no vertices at all.
     """
-    acc = _EdgeAccumulator()
+    ids: dict[str, int] = {}
+    vertex = ids.setdefault
+    ends: list[int] = []
     # Only the loop holds the StringIO, whose buffer takes 4 bytes a
     # character, so it is freed before the graph is built.
     for lineno, raw in enumerate(io.StringIO(source) if isinstance(source, str) else source, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise GraphParseError(
                 f"expected two vertex tokens, got {len(parts)}", line=lineno
             )
-        acc.edge(acc.vertex(parts[0]), acc.vertex(parts[1]))
-    return acc.build()
+        ends += vertex(parts[0], len(ids)), vertex(parts[1], len(ids))
+    return _assemble(list(ids), ends)
 
 
 def dump_edge_list(graph: Graph) -> str:
@@ -258,14 +247,28 @@ def dump_edge_list(graph: Graph) -> str:
 # --- GML subset -----------------------------------------------------------
 
 _GML_WEIGHT_KEYS = {"weight", "value"}
-# One token per match, after any whitespace: a bracket, a string, an
-# atom, a lone quote (an unterminated string), a comment, or the end.
-# No alternative starts with whitespace and the end is a match of its
-# own, so the leading \s* never gives characters back (scans stay linear).
+# The pieces of a flat block, one that holds only key/value scalars: atoms
+# made maximal by a lookahead (so backtracking cannot split one into a key
+# and a value), strings, and the separators space, tab, CR and LF only.  A
+# block with anything else (a comment, a nested block, a stray quote, some
+# other whitespace) fails the flat form and is read token by token.
+_FLAT_SEP = r"[ \t\r\n]*"
+_FLAT_ATOM = r'[^\s\[\]"#][^ \t\[\]"\n\r]*(?![^ \t\[\]"\n\r])'
+# One token per match, after any whitespace: a bracket, a string, a key
+# with its whole flat block, an atom, a lone quote (an unterminated
+# string), a comment, or the end.  No alternative starts with whitespace
+# and the end is a match of its own, so the leading \s* never gives
+# characters back (scans stay linear).
 _GML_TOKEN = re.compile(
-    r'\s*(?:(\[)|(\])|"([^"\n]*)"|([^\s\[\]"#][^ \t\[\]"\n\r]*)|(")|#[^\n]*|\Z)'
+    r'\s*(?:(\[)|(\])|"([^"\n]*)"'
+    rf'|({_FLAT_ATOM}){_FLAT_SEP}\[((?:{_FLAT_SEP}{_FLAT_ATOM}{_FLAT_SEP}(?:{_FLAT_ATOM}|"[^"\n]*"))*){_FLAT_SEP}\]'
+    r'|([^\s\[\]"#][^ \t\[\]"\n\r]*)|(")|#[^\n]*|\Z)'
 )
-_OPEN, _CLOSE, _STRING, _ATOM, _QUOTE = 1, 2, 3, 4, 5
+# _FLAT is the block's body, the last group a flat match closes: its key
+# ends at m.end(_KEY) and its '[' just before m.start(_FLAT).
+_OPEN, _CLOSE, _STRING, _KEY, _FLAT, _ATOM, _QUOTE = 1, 2, 3, 4, 5, 6, 7
+# One (key, atom value, string value) per scalar of a flat block's body.
+_GML_PAIR = re.compile(rf'{_FLAT_SEP}({_FLAT_ATOM}){_FLAT_SEP}(?:({_FLAT_ATOM})|"([^"\n]*)")')
 
 
 def load_gml(source: "str | TextIO") -> tuple[Graph, LoadReport]:
@@ -295,7 +298,8 @@ def load_gml(source: "str | TextIO") -> tuple[Graph, LoadReport]:
                 break
         raise GraphParseError(message, line=line(pos))
 
-    acc = _EdgeAccumulator()
+    names: list[str] = []
+    ends: list[int] = []  # two endpoint ids per edge block
     id_to_vertex: dict[str, int] = {}
     pending_edges: list[tuple[str, str, int]] = []  # endpoints not declared yet
     problem: tuple[str, int] | None = None  # first node/edge error
@@ -312,7 +316,11 @@ def load_gml(source: "str | TextIO") -> tuple[Graph, LoadReport]:
             continue
         if kind == _QUOTE:
             raise GraphParseError("unterminated string", line=line(m.end()))
-        if key is None:
+        if kind == _FLAT:
+            if key is not None:  # the block's key is the pending key's value
+                fail("expected a key, got '['", m.start(_FLAT))
+            key, key_pos = m[_KEY], m.end(_KEY)
+        elif key is None:
             if kind == _ATOM:
                 key, key_pos = m[_ATOM], m.end()
                 continue
@@ -322,41 +330,52 @@ def load_gml(source: "str | TextIO") -> tuple[Graph, LoadReport]:
             if not stack:
                 fail("unbalanced brackets: stray ']'", m.end())
             role, at, _ = stack.pop()
-            if role == "node" and problem is None:
-                node_id = fields.get("id")
-                if node_id is None:
-                    problem = ("node block missing 'id'", at)
-                elif node_id in id_to_vertex:
-                    problem = (f"duplicate node id {node_id}", at)
-                else:
-                    id_to_vertex[node_id] = acc.fresh_vertex(fields.get("label", node_id))
-            elif role == "edge" and problem is None:
-                src, dst = fields.get("source"), fields.get("target")
-                weights_seen = weights_seen or not _GML_WEIGHT_KEYS.isdisjoint(fields)
-                if src is None or dst is None:
-                    problem = ("edge block missing source/target", at)
-                elif src in id_to_vertex and dst in id_to_vertex:
-                    acc.edge(id_to_vertex[src], id_to_vertex[dst])
-                else:
-                    pending_edges.append((src, dst, at))
-            continue
-        if kind == _CLOSE:
+        elif kind == _CLOSE:
             fail(f"key {key!r} has no value", key_pos)
-        role = stack[-1][0] if stack else None
-        if kind == _OPEN:
-            if not stack and key == "graph" and not graph_seen:
-                role, graph_seen = "graph", True
-            elif role == "graph" and key in ("node", "edge"):
-                role = key
-                fields.clear()
+        if key is not None:  # the key's value: a block or a scalar
+            role = stack[-1][0] if stack else None
+            if kind == _OPEN or kind == _FLAT:
+                if not stack and key == "graph" and not graph_seen:
+                    # A flat graph block declares no node: its scalars never matter.
+                    role, graph_seen = "graph", True
+                elif role == "graph" and key in ("node", "edge"):
+                    role = key
+                    fields = {} if kind == _OPEN else {
+                        k: atom or string
+                        for k, atom, string in _GML_PAIR.findall(text, m.start(_FLAT), m.end(_FLAT))
+                    }
+                else:
+                    role = None
+                if kind == _OPEN:
+                    stack.append((role, key_pos, m.end()))
+            elif role == "node" or role == "edge":
+                fields[key] = m[kind]
+            elif role == "graph" and key == "directed":
+                directed = m[kind].strip() == "1"
+            key = None
+            if kind != _FLAT:
+                continue
+            at = key_pos  # a flat block closes in the match that opens it
+        # A block with this role closed, at its ']' or in its flat match.
+        if role == "node" and problem is None:
+            node_id = fields.get("id")
+            if node_id is None:
+                problem = ("node block missing 'id'", at)
+            elif node_id in id_to_vertex:
+                problem = (f"duplicate node id {node_id}", at)
             else:
-                role = None
-            stack.append((role, key_pos, m.end()))
-        elif role == "node" or role == "edge":
-            fields[key] = m[kind]
-        elif role == "graph" and key == "directed":
-            directed = m[kind].strip() == "1"
-        key = None
+                # GML nodes are distinct even when their display labels collide.
+                id_to_vertex[node_id] = len(names)
+                names.append(fields.get("label", node_id))
+        elif role == "edge" and problem is None:
+            src, dst = fields.get("source"), fields.get("target")
+            weights_seen = weights_seen or not _GML_WEIGHT_KEYS.isdisjoint(fields)
+            if src is None or dst is None:
+                problem = ("edge block missing source/target", at)
+            elif src in id_to_vertex and dst in id_to_vertex:
+                ends += id_to_vertex[src], id_to_vertex[dst]
+            else:
+                pending_edges.append((src, dst, at))
 
     if key is not None:
         fail(f"key {key!r} has no value", key_pos)
@@ -370,5 +389,5 @@ def load_gml(source: "str | TextIO") -> tuple[Graph, LoadReport]:
         for end in (src, dst):
             if end not in id_to_vertex:
                 raise GraphParseError(f"edge references undeclared node {end}", line=line(at))
-        acc.edge(id_to_vertex[src], id_to_vertex[dst])
-    return acc.build(symmetrized=directed, weights_ignored=weights_seen)
+        ends += id_to_vertex[src], id_to_vertex[dst]
+    return _assemble(names, ends, symmetrized=directed, weights_ignored=weights_seen)

@@ -22,7 +22,6 @@ from .propagation import (
     TieStrategy,
     TimingModel,
     run,
-    stage_count,
 )
 from .rng import Stream, mix64
 
@@ -34,7 +33,6 @@ __all__ = [
     "trial_seed",
     "run_trial",
     "run_experiment",
-    "stage_count",
     "trials_csv",
 ]
 

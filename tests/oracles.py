@@ -2,9 +2,9 @@
 
 Nothing here imports from labelprop: modularity is evaluated from edges
 and exact rational arithmetic, the staged propagation oracle is a
-separate minimal implementation, the Graph checks and GML loader are
-the straightforward versions that the package's linear-time ones
-replaced, and the reference propagation is the per-timing-model step
+separate minimal implementation, the Graph checks and the edge-list and
+GML loaders are the straightforward versions that the package's
+linear-time ones replaced, and the reference propagation is the per-timing-model step
 code that the package's single update sweep replaced.  Expected values frozen into tests were produced by these
 functions.
 """
@@ -130,10 +130,10 @@ def graph_check_oracle(
         for u in neigh:
             if u == v:
                 return f"self-loop at vertex {v}"
-            if u <= prev:
-                return f"adjacency of {v} not sorted/duplicate-free"
             if not 0 <= u < n:
                 return f"neighbor {u} of {v} out of range"
+            if u <= prev:
+                return f"adjacency of {v} not sorted/duplicate-free"
             prev = u
     if half_degrees != 2 * m:
         return "m inconsistent with adjacency lists"
@@ -144,19 +144,86 @@ def graph_check_oracle(
     return None
 
 
+class OracleParseError(Exception):
+    """A document a reference loader rejects; formatted like GraphParseError."""
+
+    def __init__(self, message: str, line: "int | None" = None) -> None:
+        super().__init__(message if line is None else f"{message} (line {line})")
+        self.line = line
+
+
+# --- edge-list reference loader ---------------------------------------------
+#
+# The loader that the package's flat endpoint list replaced: each edge is
+# normalized to a (u, v) tuple with u < v and deduplicated in a set, and the
+# adjacency is built from that set once the text has been read.
+
+
+class _EdgeAccumulator:
+    """Dense remap in first-appearance order, self-loop and duplicate drops."""
+
+    def __init__(self) -> None:
+        self.ids: dict[str, int] = {}
+        self.names: list[str] = []
+        self.edges: set[tuple[int, int]] = set()
+        self.self_loops = 0
+        self.duplicates = 0
+
+    def vertex(self, token: str) -> int:
+        vid = self.ids.get(token)
+        if vid is None:
+            vid = len(self.names)
+            self.ids[token] = vid
+            self.names.append(token)
+        return vid
+
+    def edge(self, u: int, v: int) -> None:
+        if u == v:
+            self.self_loops += 1
+            return
+        key = (u, v) if u < v else (v, u)
+        if key in self.edges:
+            self.duplicates += 1
+        else:
+            self.edges.add(key)
+
+
+def edge_list_oracle(source: "str | TextIO") -> tuple:
+    """Load an edge list the reference way.
+
+    Returns ``(names, adjacency, m, report)``: vertex names in dense-id
+    order, each vertex's sorted neighbor tuple, the edge count, and
+    ``(self_loops_dropped, duplicate_edges_dropped, symmetrized,
+    weights_ignored)``.
+
+    Raises:
+        OracleParseError: the document is rejected.
+    """
+    acc = _EdgeAccumulator()
+    for lineno, raw in enumerate(io.StringIO(source) if isinstance(source, str) else source, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise OracleParseError(f"expected two vertex tokens, got {len(parts)}", lineno)
+        acc.edge(acc.vertex(parts[0]), acc.vertex(parts[1]))
+    if not acc.names:
+        raise OracleParseError("empty graph: no vertices found")
+    neigh: list[list[int]] = [[] for _ in acc.names]
+    for u, v in acc.edges:
+        neigh[u].append(v)
+        neigh[v].append(u)
+    adjacency = tuple(tuple(sorted(a)) for a in neigh)
+    report = (acc.self_loops, acc.duplicates, False, False)
+    return tuple(acc.names), adjacency, len(acc.edges), report
+
+
 # --- GML reference loader ---------------------------------------------------
 #
 # The line-by-line tokenizer and recursive block parser that the package's
 # one-pass GML scanner replaced.  It materializes every token and every
 # block, so it is only fit for small documents.
-
-
-class GmlOracleError(Exception):
-    """A rejected document; formatted like the package's GraphParseError."""
-
-    def __init__(self, message: str, line: "int | None" = None) -> None:
-        super().__init__(message if line is None else f"{message} (line {line})")
-        self.line = line
 
 
 def _gml_tokenize(source: "str | TextIO") -> Iterator[tuple[str, str, int]]:
@@ -178,7 +245,7 @@ def _gml_tokenize(source: "str | TextIO") -> Iterator[tuple[str, str, int]]:
             elif ch == '"':
                 end = rest.find('"', 1)
                 if end < 0:
-                    raise GmlOracleError("unterminated string", lineno)
+                    raise OracleParseError("unterminated string", lineno)
                 yield "string", rest[1:end], lineno
                 rest = rest[end + 1 :]
             elif ch == "#":
@@ -202,25 +269,25 @@ def _gml_parse_block(
         kind, text, lineno = tokens[pos]
         if kind == "close":
             if top:
-                raise GmlOracleError("unbalanced brackets: stray ']'", lineno)
+                raise OracleParseError("unbalanced brackets: stray ']'", lineno)
             return entries, pos + 1
         if kind != "atom":
-            raise GmlOracleError(f"expected a key, got {text!r}", lineno)
+            raise OracleParseError(f"expected a key, got {text!r}", lineno)
         key = text
         pos += 1
         if pos >= len(tokens):
-            raise GmlOracleError(f"key {key!r} has no value", lineno)
+            raise OracleParseError(f"key {key!r} has no value", lineno)
         vkind, vtext, vline = tokens[pos]
         if vkind == "open":
             sub, pos = _gml_parse_block(tokens, pos + 1, top=False, opened_at=vline)
             entries.append((key, sub, lineno))
         elif vkind == "close":
-            raise GmlOracleError(f"key {key!r} has no value", lineno)
+            raise OracleParseError(f"key {key!r} has no value", lineno)
         else:
             entries.append((key, vtext, lineno))
             pos += 1
     if not top:
-        raise GmlOracleError("unbalanced brackets: block never closed", opened_at)
+        raise OracleParseError("unbalanced brackets: block never closed", opened_at)
     return entries, pos
 
 
@@ -232,7 +299,7 @@ def gml_oracle(source: "str | TextIO") -> tuple:
     duplicate_edges_dropped, symmetrized, weights_ignored)``.
 
     Raises:
-        GmlOracleError: the document is rejected.
+        OracleParseError: the document is rejected.
     """
     tokens = list(_gml_tokenize(source))
     entries, _ = _gml_parse_block(tokens, 0, top=True, opened_at=0)
@@ -243,7 +310,7 @@ def gml_oracle(source: "str | TextIO") -> tuple:
             graph_block = value
             break
     if graph_block is None:
-        raise GmlOracleError("no 'graph [ ... ]' block found")
+        raise OracleParseError("no 'graph [ ... ]' block found")
 
     names: list[str] = []
     id_to_vertex: dict[str, int] = {}
@@ -263,9 +330,9 @@ def gml_oracle(source: "str | TextIO") -> tuple:
                 elif nkey == "label" and not isinstance(nvalue, list):
                     label = str(nvalue)
             if node_id is None:
-                raise GmlOracleError("node block missing 'id'", lineno)
+                raise OracleParseError("node block missing 'id'", lineno)
             if node_id in id_to_vertex:
-                raise GmlOracleError(f"duplicate node id {node_id}", lineno)
+                raise OracleParseError(f"duplicate node id {node_id}", lineno)
             id_to_vertex[node_id] = len(names)
             names.append(label if label is not None else node_id)
         elif key == "edge" and isinstance(value, list):
@@ -281,16 +348,16 @@ def gml_oracle(source: "str | TextIO") -> tuple:
                 elif ekey in ("weight", "value"):
                     weights_seen = True
             if src is None or dst is None:
-                raise GmlOracleError("edge block missing source/target", lineno)
+                raise OracleParseError("edge block missing source/target", lineno)
             pending_edges.append((src, dst, lineno))
 
     edges: set[tuple[int, int]] = set()
     self_loops = duplicates = 0
     for src, dst, lineno in pending_edges:
         if src not in id_to_vertex:
-            raise GmlOracleError(f"edge references undeclared node {src}", lineno)
+            raise OracleParseError(f"edge references undeclared node {src}", lineno)
         if dst not in id_to_vertex:
-            raise GmlOracleError(f"edge references undeclared node {dst}", lineno)
+            raise OracleParseError(f"edge references undeclared node {dst}", lineno)
         u, v = sorted((id_to_vertex[src], id_to_vertex[dst]))
         if u == v:
             self_loops += 1
@@ -299,7 +366,7 @@ def gml_oracle(source: "str | TextIO") -> tuple:
         else:
             edges.add((u, v))
     if not names:
-        raise GmlOracleError("empty graph: no vertices found")
+        raise OracleParseError("empty graph: no vertices found")
     return tuple(names), sorted(edges), (self_loops, duplicates, directed, weights_seen)
 
 

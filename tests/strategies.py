@@ -76,3 +76,31 @@ def _is_atom(token: str) -> bool:
 
 
 edge_list_documents = st.text(alphabet="ab01 #\t\n\r\x0c\xa0", max_size=60)
+
+EDGE_LIST_NAMES = ["a", "b", "c", "0", "1", "10", "x#y", "é"]
+EDGE_LIST_SEPARATORS = [" ", "  ", "\t", "\x0c", "\xa0", " "]
+
+
+@st.composite
+def edge_list_graphs(draw) -> str:
+    """Edge lists that mostly load: each edge repeated in either orientation,
+    ``v v`` lines, comment and blank lines in between, and now and then a
+    line without exactly two tokens."""
+    names = st.sampled_from(EDGE_LIST_NAMES)
+    lines = []
+    for u, v in draw(st.lists(st.tuples(names, names), max_size=12)):
+        for _ in range(draw(st.integers(1, 3))):
+            lines.append((u, v) if draw(st.booleans()) else (v, u))
+    for _ in range(draw(st.integers(0, 4))):
+        v = draw(names)
+        lines.append((v, v))
+    lines += draw(st.lists(st.sampled_from([("#", "x"), ("#a", "b"), ("# c",), ()]), max_size=4))
+    if draw(st.integers(0, 4)) == 0:
+        lines.append(draw(st.sampled_from([("a",), ("a", "b", "c")])))
+    lines = draw(st.permutations(lines))
+    sep = st.sampled_from(EDGE_LIST_SEPARATORS)
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(
+        draw(st.sampled_from(["", " "])) + draw(sep).join(tokens) + draw(st.sampled_from(["", " ", "\t"]))
+        for tokens in lines
+    )
+    return text + draw(st.sampled_from(["", "\n"]))

@@ -1,3 +1,4 @@
+import re
 import time
 from io import StringIO
 
@@ -5,7 +6,7 @@ import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import gml_documents
+from strategies import edge_list_documents, edge_list_graphs, gml_documents
 
 from labelprop import fixtures
 from labelprop.graphs import (
@@ -133,6 +134,39 @@ def test_edges_iterates_each_edge_once():
     assert sorted(g.edges()) == [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]
 
 
+def _load_outcome(load, source):
+    try:
+        return ("graph", *load(source))
+    except (GraphParseError, oracles.OracleParseError) as err:
+        return ("error", str(err), err.line)
+
+
+def _load_edge_list_summary(source):
+    g, r = load_edge_list(source)
+    report = (r.self_loops_dropped, r.duplicate_edges_dropped, r.symmetrized, r.weights_ignored)
+    return g.external_names, g.adjacency, g.m, report
+
+
+def assert_edge_list_matches_oracle(text):
+    expected = _load_outcome(oracles.edge_list_oracle, text)
+    assert _load_outcome(_load_edge_list_summary, text) == expected
+    assert _load_outcome(_load_edge_list_summary, StringIO(text)) == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(edge_list_documents, edge_list_graphs()))
+def test_edge_list_matches_reference_loader(text):
+    assert_edge_list_matches_oracle(text)
+
+
+def test_edge_list_repeats_count_as_duplicates():
+    text = "# both orientations\na b\nb a\na b\nc c\nb c\n\nc b\nd d\n"
+    assert_edge_list_matches_oracle(text)
+    g, report = load_edge_list(text)
+    assert (g.n, g.m) == (4, 2)
+    assert (report.self_loops_dropped, report.duplicate_edges_dropped) == (2, 3)
+
+
 GML_BASIC = """
 Creator "toy"
 graph [
@@ -250,15 +284,25 @@ GML_CASES = {
     "comment hides a quote": 'graph [ # "\n node [ id 1 ] ]',
     "empty graph": "graph [ ]",
     "trailing whitespace only": "   \n \x0c ",
+    "unspaced flat blocks": 'graph [ node[id 1]node[id"2"label"b"]edge[source 1 target"2"]x[]]',
+    "empty flat block": "graph [ x [ ] node [ id 1 ] node [ ]\n]",
+    "repeated key in a flat block": (
+        'graph [ node [ id 1 id 2 label a label "b" ] node [ id 1 ]\n'
+        "edge [ source 2 target 9 source 1 target 2 value 1 ] ]"
+    ),
+    "flat graph block": "graph [ directed 1 ]",
+    "flat graph block after a nested one": "x [ graph [ id 1 ] ] graph [ directed 1 directed 0 ]",
+    "key followed by a flat block": "graph [ node [ id 1 ] label node\n[ id 2 ] ]",
+    "form-feed separator in a block": (
+        'graph [ node [\x0cid 1 ] node [ id 2 label "b"\x0c] edge [\x0csource 1 target 2 ] ]'
+    ),
+    "no-break space separator in a block": "graph [ node [\xa0id 1 ] node [ id 2 ] ]",
+    "form feed inside an atom is not a separator": "graph [ node [ id\x0c5 ] ]",
+    "comment in a block": (
+        "graph [ node [ id 1 # first\n ] node [ id 2 ]#\nedge [ source 1 # t\n target 2 ] ]"
+    ),
+    "stray quote in a block": 'graph [ node [ id 1 ] node [ id 2 " ] ]',
 }
-
-
-def _gml_outcome(load, source):
-    try:
-        names, edges, report = load(source)
-    except (GraphParseError, oracles.GmlOracleError) as err:
-        return ("error", str(err), err.line)
-    return ("graph", names, edges, report)
 
 
 def _load_gml_summary(source):
@@ -268,9 +312,9 @@ def _load_gml_summary(source):
 
 
 def assert_gml_matches_oracle(text):
-    expected = _gml_outcome(oracles.gml_oracle, text)
-    assert _gml_outcome(_load_gml_summary, text) == expected
-    assert _gml_outcome(_load_gml_summary, StringIO(text)) == expected
+    expected = _load_outcome(oracles.gml_oracle, text)
+    assert _load_outcome(_load_gml_summary, text) == expected
+    assert _load_outcome(_load_gml_summary, StringIO(text)) == expected
 
 
 @pytest.mark.parametrize("text", GML_CASES.values(), ids=list(GML_CASES))
@@ -303,7 +347,7 @@ def test_gml_error_precedence():
         ((1, 0, ((0,),)), "self-loop at vertex 0"),
         ((3, 1, ((2, 1), (0,), (0,))), "adjacency of 0 not sorted/duplicate-free"),
         ((2, 1, ((1, 1), (0,))), "adjacency of 0 not sorted/duplicate-free"),
-        ((2, 1, ((-1,), ())), "adjacency of 0 not sorted/duplicate-free"),
+        ((2, 1, ((-1,), ())), "neighbor -1 of 0 out of range"),
         ((2, 1, ((2,), (0,))), "neighbor 2 of 0 out of range"),
         ((2, 2, ((1,), (0,))), "m inconsistent with adjacency lists"),
         ((3, 1, ((), (0,), (0,))), "edge {0, 1} not symmetric"),
@@ -357,6 +401,27 @@ def test_validation_is_linear_in_degree():
     g = Graph.from_edges(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
     assert time.perf_counter() - start < 1.0
     assert g.max_degree() == leaves
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        # The flat form reads every pair before it finds no ']'.
+        ("graph [ k [" + " a 1" * 50_000, "block never closed (line 1)"),
+        ("a [ " * 20_000, "block never closed (line 1)"),
+        # Each block fails the flat form only at its last separator.
+        ("graph [" + " x [ a 1 b 2 \x0c]" * 20_000 + " node [ id 1 ] ]", None),
+    ],
+    ids=["one long unclosed block", "deep nesting", "blocks that fail the flat form late"],
+)
+def test_gml_flat_blocks_scan_linearly(text, error):
+    start = time.perf_counter()
+    if error is None:
+        assert load_gml(text)[0].n == 1
+    else:
+        with pytest.raises(GraphParseError, match=re.escape(error)):
+            load_gml(text)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_gml_scan_is_linear_in_whitespace():
