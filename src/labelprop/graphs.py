@@ -139,9 +139,6 @@ class Graph:
             external_names=external_names,
         )
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:
             raise IndexError(f"vertex {v} out of range [0, {self.n})")

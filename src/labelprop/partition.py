@@ -9,7 +9,6 @@ random null model.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -138,29 +137,3 @@ def modularity(graph: Graph, partition: Partition) -> float:
 def partition_stats(partition: Partition) -> PartitionStats:
     sizes = tuple(c.size for c in partition.communities)
     return PartitionStats(count=len(sizes), largest=max(sizes), sizes=sizes)
-
-
-def partition_csv(partition: Partition) -> str:
-    lines = ["vertex,community"]
-    lines.extend(f"{v},{c}" for v, c in enumerate(partition.community_of))
-    return "\n".join(lines) + "\n"
-
-
-def partition_json(graph: Graph, partition: Partition) -> str:
-    stats = partition_stats(partition)
-    doc = {
-        "communities": [
-            {
-                "id": i,
-                "members": list(c.members),
-                "size": c.size,
-                "internal_edges": c.internal_edges,
-                "degree_sum": c.degree_sum,
-            }
-            for i, c in enumerate(partition.communities)
-        ],
-        "count": stats.count,
-        "largest": stats.largest,
-        "modularity": modularity(graph, partition) if graph.m else None,
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -32,6 +32,12 @@ the same largest label and Prec and Prec-Max keep the current one.  A
 RANDOM tie draws from a fresh stream each step, so it stays active.  The
 monochromatic-edge count f is updated from the edges at changed vertices
 rather than recounted.
+
+Nothing re-checks the update rule at run time: the tests check that every
+update adopts a maximal neighbor label, against the reference step code
+in tests/oracles.py and against networkx's Prec-Max semi-synchronous
+label propagation.  What run does check is the staged model's
+convergence guarantee (MonotoneViolation).
 """
 
 from __future__ import annotations
@@ -65,16 +71,15 @@ class TimingModel(Enum):
 class StopCriterion(Enum):
     """When to stop iterating.
 
-    NO_CHANGE stops once a step changes nothing.  C1 stops once every
-    change in the last step was tie-only: each vertex that changed label
-    had two or more maximal labels when it updated (see check_c1).  Tie
-    flags reflect each vertex's view at its own update, so C1 can stop at
-    a labeling that fails labels_locally_maximal: in seeded karate
-    experiments, up to about 7 percent of trials, depending on timing,
-    tie and seed.  C2 stops when the labeling equals the one from one or
-    two steps earlier; it is sound only for synchronous Max-family runs
-    (which never cycle with period above two) and may stop inside a
-    longer cycle elsewhere.
+    NO_CHANGE stops once a step changes nothing.  C1 stops once the last
+    step made no non-tie change: each vertex that changed label had two
+    or more maximal labels when it updated.  Tie flags reflect each
+    vertex's view at its own update, so C1 can stop at a labeling that
+    fails labels_locally_maximal: in seeded karate experiments, up to
+    about 7 percent of trials, depending on timing, tie and seed.  C2
+    stops when the labeling equals the one from one or two steps earlier;
+    it is sound only for synchronous Max-family runs (which never cycle
+    with period above two) and may stop inside a longer cycle elsewhere.
     """
 
     NO_CHANGE = "no-change"
@@ -192,28 +197,6 @@ def _pick(cands: list[int], current: int, tie: TieStrategy, stream: "Stream | No
     return cands[stream.below(len(cands))]
 
 
-def resolve(freqs: dict[int, int], current: int, tie: TieStrategy, stream: "Stream | None" = None) -> int:
-    """Pick the new label from a non-empty frequency table.
-
-    Always returns a member of the maximal-count label set.  RANDOM draws
-    uniformly from it; PREC keeps `current` when it is maximal and draws
-    uniformly otherwise; MAX takes the largest maximal label; PREC_MAX
-    keeps `current` when maximal, otherwise takes the largest.
-    """
-    if not freqs:
-        raise ValueError("empty frequency table (isolated vertex?)")
-    return _pick(_argmax_labels(freqs), current, tie, stream)
-
-
-def _assert_in_argmax(neigh: tuple[int, ...], labels: Sequence[int], chosen: int) -> bool:
-    # independent recount backing the update-rule conformance assert
-    counts: dict[int, int] = {}
-    for u in neigh:
-        label = labels[u]
-        counts[label] = counts.get(label, 0) + 1
-    return counts.get(chosen, 0) == max(counts.values())
-
-
 def _sweep(
     graph: Graph,
     state: LabelState,
@@ -263,8 +246,6 @@ def _sweep(
         if tie_flag and (random_ties or (tie is TieStrategy.PREC and current not in cands)):
             stream = rng.tie_stream(step, stage, v)
         new = _pick(cands, current, tie, stream)
-        if __debug__:
-            assert _assert_in_argmax(neigh, read, new)
         if new != current:
             labels[v] = new
             changed.add(v)
@@ -354,28 +335,15 @@ def semi_sync_step(
     return _sweep(graph, state, schedule, tie, rng, False, active)
 
 
-def check_c1(
-    graph: Graph,
-    prev_labels: Sequence[int],
-    new_labels: Sequence[int],
-    tie_changes: "frozenset[int] | set[int]",
-) -> bool:
-    """True iff every vertex kept its label or changed it only via a tie."""
-    return all(
-        new_labels[v] == prev_labels[v] or v in tie_changes
-        for v in range(graph.n)
-    )
-
-
 def labels_locally_maximal(graph: Graph, labels: Sequence[int]) -> bool:
     """True iff every non-isolated vertex holds a maximal-frequency neighbor label.
 
-    This re-evaluates maximality on the labeling as given, unlike
-    check_c1 which trusts the tie flags recorded while the step ran.  A
-    staged step can satisfy check_c1 yet leave some vertex non-maximal
-    with respect to the final labeling, because flags reflect each
-    vertex's stage-time view.  Once this predicate holds, a further step
-    under PREC or PREC_MAX changes nothing.
+    This re-evaluates maximality on the labeling as given, unlike C1
+    ("no non-tie change in the last step"), which trusts the tie flags
+    recorded while the step ran.  A staged step can satisfy C1 yet leave
+    some vertex non-maximal with respect to the final labeling, because
+    flags reflect each vertex's stage-time view.  Once this predicate
+    holds, a further step under PREC or PREC_MAX changes nothing.
     """
     for v in range(graph.n):
         counts = neighbor_frequencies(graph, v, labels)
@@ -428,8 +396,7 @@ class MonotoneViolation(RuntimeError):
     """The staged model's monochromatic-edge potential failed to grow."""
 
 
-def _check_monotone(state: LabelState) -> None:
-    non_tie = state.last_changed - state.last_tie_changed
+def _check_monotone(state: LabelState, non_tie: "frozenset[int]") -> None:
     if not non_tie:
         return
     f_now = state.f_trace[-1]
@@ -480,7 +447,9 @@ def run(
             state = async_step(graph, state, config.tie, rng, active=active)
         else:
             state = semi_sync_step(graph, state, coloring, config.tie, rng, active=active)
-            _check_monotone(state)
+        non_tie = state.last_changed - state.last_tie_changed
+        if config.timing is TimingModel.SEMI_SYNCHRONOUS:
+            _check_monotone(state, non_tie)
         history.append(state.labels)
 
         reason = None
@@ -488,7 +457,7 @@ def run(
             if not state.last_changed:
                 reason = "no-change"
         elif config.stop is StopCriterion.C1:
-            if check_c1(graph, history[-2], state.labels, state.last_tie_changed):
+            if not non_tie:
                 reason = "c1"
         else:
             period = check_c2(history)

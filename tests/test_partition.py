@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction
 
@@ -9,9 +8,7 @@ from labelprop.graphs import Graph
 from labelprop.partition import (
     extract_communities,
     modularity,
-    partition_csv,
     partition_from_membership,
-    partition_json,
     partition_stats,
 )
 
@@ -169,19 +166,3 @@ def test_membership_length_validated():
         extract_communities(g, [0, 0])
     with pytest.raises(ValueError):
         partition_from_membership(g, [0])
-
-
-def test_partition_csv_export():
-    g = fixtures.graph("triangles-bridge")
-    p = extract_communities(g, [1, 1, 1, 2, 2, 2])
-    assert partition_csv(p) == "vertex,community\n0,0\n1,0\n2,0\n3,1\n4,1\n5,1\n"
-
-
-def test_partition_json_export():
-    g = fixtures.graph("triangles-bridge")
-    p = extract_communities(g, [1, 1, 1, 2, 2, 2])
-    doc = json.loads(partition_json(g, p))
-    assert doc["count"] == 2
-    assert doc["largest"] == 3
-    assert doc["modularity"] == 5 / 14
-    assert doc["communities"][0]["members"] == [0, 1, 2]

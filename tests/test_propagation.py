@@ -18,14 +18,14 @@ from labelprop.propagation import (
     StopCriterion,
     TieStrategy,
     TimingModel,
+    _argmax_labels,
+    _pick,
     async_step,
-    check_c1,
     check_c2,
     initial_state,
     labels_locally_maximal,
     monochromatic_edge_count,
     neighbor_frequencies,
-    resolve,
     run,
     semi_sync_step,
     stage_count,
@@ -90,41 +90,45 @@ def test_frequencies_counts_sum_to_degree():
         assert sum(neighbor_frequencies(g, v, labels).values()) == g.degree(v)
 
 
-# --- resolve ---------------------------------------------------------------
+# --- tie resolution ------------------------------------------------------------
+
+
+def pick(freqs, current, tie, stream=None):
+    return _pick(_argmax_labels(freqs), current, tie, stream)
 
 
 @pytest.mark.parametrize("tie", every_tie())
-def test_resolve_unique_argmax(tie):
-    assert resolve({5: 3, 9: 1}, current=0, tie=tie, stream=Stream(0)) == 5
+def test_pick_unique_argmax(tie):
+    assert pick({5: 3, 9: 1}, current=0, tie=tie, stream=Stream(0)) == 5
 
 
-def test_resolve_prec_keeps_current():
-    assert resolve({5: 2, 9: 2}, current=9, tie=TieStrategy.PREC) == 9
+def test_pick_prec_keeps_current():
+    assert pick({5: 2, 9: 2}, current=9, tie=TieStrategy.PREC) == 9
 
 
-def test_resolve_max_takes_highest():
-    assert resolve({5: 2, 9: 2}, current=3, tie=TieStrategy.MAX) == 9
+def test_pick_max_takes_highest():
+    assert pick({5: 2, 9: 2}, current=3, tie=TieStrategy.MAX) == 9
 
 
-def test_resolve_prec_max_composition():
+def test_pick_prec_max_composition():
     # prec does not apply (3 not maximal), so the max rule decides
-    assert resolve({5: 2, 9: 2}, current=3, tie=TieStrategy.PREC_MAX) == 9
-    assert resolve({5: 2, 9: 2}, current=5, tie=TieStrategy.PREC_MAX) == 5
+    assert pick({5: 2, 9: 2}, current=3, tie=TieStrategy.PREC_MAX) == 9
+    assert pick({5: 2, 9: 2}, current=5, tie=TieStrategy.PREC_MAX) == 5
 
 
-def test_resolve_empty_table_rejected():
+def test_pick_empty_table_rejected():
     with pytest.raises(ValueError):
-        resolve({}, current=0, tie=TieStrategy.MAX)
+        pick({}, current=0, tie=TieStrategy.MAX)
 
 
-def test_resolve_random_needs_stream():
+def test_pick_random_needs_stream():
     with pytest.raises(ValueError):
-        resolve({1: 1, 2: 1}, current=1, tie=TieStrategy.RANDOM, stream=None)
+        pick({1: 1, 2: 1}, current=1, tie=TieStrategy.RANDOM, stream=None)
 
 
-def test_resolve_random_is_roughly_uniform():
+def test_pick_random_is_roughly_uniform():
     counts = Counter(
-        resolve({1: 1, 2: 1, 5: 1}, current=9, tie=TieStrategy.RANDOM, stream=Stream(i))
+        pick({1: 1, 2: 1, 5: 1}, current=9, tie=TieStrategy.RANDOM, stream=Stream(i))
         for i in range(3000)
     )
     assert set(counts) == {1, 2, 5}
@@ -139,9 +143,9 @@ def test_resolve_random_is_roughly_uniform():
     st.sampled_from(every_tie()),
     st.integers(0, 2**63),
 )
-def test_resolve_always_returns_argmax_member(freqs, current, tie, seed):
+def test_pick_always_returns_argmax_member(freqs, current, tie, seed):
     best = max(freqs.values())
-    chosen = resolve(freqs, current, tie, Stream(seed))
+    chosen = pick(freqs, current, tie, Stream(seed))
     assert freqs[chosen] == best
 
 
@@ -253,20 +257,34 @@ def test_isolated_vertices_keep_labels():
 # --- stop criteria -----------------------------------------------------------
 
 
-def test_check_c1_no_changes():
+def test_run_c1_stops_when_nothing_changes():
     g = fixtures.graph("c4")
-    assert check_c1(g, (1, 2, 3, 4), (1, 2, 3, 4), frozenset())
+    cfg = RunConfig(timing=TimingModel.SYNCHRONOUS, tie=TieStrategy.MAX,
+                    stop=StopCriterion.C1, initial_labels=(1, 1, 1, 1))
+    state, metrics = run(g, cfg)
+    assert (state.stop_reason, metrics.steps, state.last_changed) == ("c1", 1, frozenset())
 
 
-def test_check_c1_rejects_non_tie_change():
+def test_run_c1_does_not_stop_on_non_tie_changes():
+    # sync max on (3,2,3,2): every change has a unique argmax, every step
     g = fixtures.graph("c4")
-    # sync max on (3,2,3,2): every change has a unique argmax
-    assert not check_c1(g, (3, 2, 3, 2), (2, 3, 2, 3), frozenset())
+    cfg = RunConfig(timing=TimingModel.SYNCHRONOUS, tie=TieStrategy.MAX,
+                    stop=StopCriterion.C1, step_cap=5, initial_labels=(3, 2, 3, 2))
+    state, metrics = run(g, cfg)
+    assert (state.status, state.stop_reason, metrics.steps) == (
+        RunStatus.CAP_EXCEEDED, "step-cap", 5
+    )
+    assert state.last_changed == {0, 1, 2, 3}
+    assert not state.last_tie_changed
 
 
-def test_check_c1_accepts_all_tie_changes():
+def test_run_c1_stops_on_tie_only_changes():
+    # sync max on c4's distinct labels: every vertex sees a two-way tie
     g = fixtures.graph("c4")
-    assert check_c1(g, (3, 2, 3, 2), (2, 3, 2, 3), frozenset({0, 1, 2, 3}))
+    cfg = RunConfig(timing=TimingModel.SYNCHRONOUS, tie=TieStrategy.MAX, stop=StopCriterion.C1)
+    state, metrics = run(g, cfg)
+    assert (state.stop_reason, metrics.steps, state.labels) == ("c1", 1, (3, 2, 3, 2))
+    assert state.last_changed == state.last_tie_changed == {0, 1, 2, 3}
 
 
 def test_check_c2_immediate_repeat():
@@ -495,7 +513,7 @@ def test_monotone_violation_raised_on_cooked_trace():
         last_tie_changed=frozenset(),
     )
     with pytest.raises(MonotoneViolation):
-        _check_monotone(bad)
+        _check_monotone(bad, bad.last_changed - bad.last_tie_changed)
 
 
 def test_locally_maximal_freeze_under_prec_family():
@@ -558,27 +576,6 @@ def test_stage_count_rules():
     assert stage_count(TimingModel.SYNCHRONOUS, steps=7, n=100) == 7
     with pytest.raises(ValueError):
         stage_count(TimingModel.SEMI_SYNCHRONOUS, steps=2, n=4)
-
-
-# --- update-rule conformance -----------------------------------------------------
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(0, 2**63), st.sampled_from(every_tie()))
-def test_every_update_lands_in_argmax(graph_seed, run_seed, tie):
-    rnd = random.Random(graph_seed)
-    n = rnd.randint(2, 9)
-    g = Graph.from_edges(n, random_graph(rnd, n, 0.5))
-    init = list(range(n))
-    rnd.shuffle(init)
-    state = initial_state(g, init)
-    rng = DecisionRng(run_seed)
-    for _ in range(3):
-        before = state.labels
-        state = sync_step(g, state, tie, rng)
-        for v in state.last_changed:
-            freqs = neighbor_frequencies(g, v, before)
-            assert freqs[state.labels[v]] == max(freqs.values())
 
 
 # --- differential against the reference step code -------------------------------
@@ -746,3 +743,75 @@ def test_active_set_draws_the_reference_tie_streams(monkeypatch, timing, tie):
         reference_run(g.adjacency, timing.value, tie.value, cfg.stop.value, DecisionRng(seed),
                       cfg.step_cap, init, coloring.classes if semi else None)
         assert ours and ours == draws
+
+
+# --- update-rule conformance -----------------------------------------------------
+
+
+@pytest.mark.parametrize("timing", list(TimingModel))
+@pytest.mark.parametrize("tie", every_tie())
+@settings(max_examples=50, deadline=None)
+@given(case=propagation_cases(), seed=st.integers(0, 2**63))
+def test_every_update_lands_in_argmax(timing, tie, case, seed):
+    """run()'s counts equal an independent recount, and every label it
+    picks has the maximal count, on every evaluation the active set makes."""
+    g, init, order = case
+    coloring = greedy_color(g, order) if timing is TimingModel.SEMI_SYNCHRONOUS else None
+    cfg = RunConfig(timing=timing, tie=tie, stop=StopCriterion.NO_CHANGE, seed=seed,
+                    step_cap=20, initial_labels=init)
+    count, choose = propagation.neighbor_frequencies, propagation._pick
+    pending = []  # the counts of the vertex being updated
+    picks = 0
+
+    def recounted(graph, v, labels):
+        counts = count(graph, v, labels)
+        assert counts == Counter(labels[u] for u in graph.adjacency[v])
+        pending.append(counts)
+        return counts
+
+    def checked(cands, current, rule, stream):
+        nonlocal picks
+        chosen = choose(cands, current, rule, stream)
+        counts = pending.pop()
+        assert not pending
+        assert counts.get(chosen, 0) == max(counts.values())
+        picks += 1
+        return chosen
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagation, "neighbor_frequencies", recounted)
+        mp.setattr(propagation, "_pick", checked)
+        run(g, cfg, coloring)
+    assert not pending
+    assert picks >= sum(1 for neigh in g.adjacency if neigh)  # step 1 evaluates them all
+
+
+# --- differential against networkx ------------------------------------------------
+
+
+def test_semi_sync_prec_max_matches_networkx():
+    # networkx's label_propagation_communities is the paper's semi-synchronous
+    # Prec-Max algorithm: it colors with greedy_color, starts from distinct
+    # labels in node order and stops once every label is maximal, which
+    # under Prec-Max is the labeling after which a step changes nothing
+    nx = pytest.importorskip("networkx")
+    for seed in range(200):
+        G = nx.gnm_random_graph(60, 150, seed=seed)
+        assert list(G) == list(range(60))
+        colors = nx.coloring.greedy_color(G)
+        stage_of = {}  # networkx's color -> stage, in its first-appearance order
+        for color in colors.values():
+            stage_of.setdefault(color, len(stage_of))
+        color_of = tuple(stage_of[colors[v]] for v in range(60))
+        classes = tuple(tuple(v for v in range(60) if color_of[v] == c) for c in range(len(stage_of)))
+        cfg = RunConfig(timing=TimingModel.SEMI_SYNCHRONOUS, tie=TieStrategy.PREC_MAX,
+                        stop=StopCriterion.NO_CHANGE)
+        state, _ = run(Graph.from_edges(60, list(G.edges())), cfg, Coloring(color_of, classes))
+        # label groups, not connected components: networkx does not split a
+        # disconnected group that shares a label
+        groups = {}
+        for v, label in enumerate(state.labels):
+            groups.setdefault(label, set()).add(v)
+        ours = sorted(sorted(group) for group in groups.values())
+        theirs = sorted(sorted(c) for c in nx.community.label_propagation_communities(G))
+        assert ours == theirs, f"gnm(60, 150, seed={seed})"
