@@ -54,9 +54,9 @@ def load_graph(ref: str) -> tuple[Graph, LoadReport, str]:
         graph, report = fixtures.load(ref)
         return graph, report, ref
     path = Path(ref)
-    text = path.read_text()
     loader = load_gml if path.suffix.lower() == ".gml" else load_edge_list
-    graph, report = loader(text)
+    with path.open() as source:  # an edge list is read line by line, never held whole
+        graph, report = loader(source)
     return graph, report, path.name
 
 

@@ -23,8 +23,12 @@ pass, and :class:`Graph` validation costs O(n + m) whatever the degrees.
 Only the sort of each vertex's neighbor list is not.  No object is made
 per edge: the loaders append the two endpoint ids of every edge to one
 flat list, and each vertex's neighbor tuple is built from it through a
-set.  A GML block that holds only key/value scalars (``node [ id 5 label
-"x" ]``) is read in one regex match together with its key.
+set; the flat list, and each neighbor list once its tuple is built, are
+freed before the whole adjacency is done.  A GML block that holds only
+key/value scalars (``node [ id 5 label "x" ]``) is read in one regex
+match together with its key.  Both loaders take text or an open file;
+the edge-list loader reads a file line by line, so the CLI never holds
+an edge-list file whole.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ import io
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Iterator, NoReturn, TextIO
 
 
@@ -139,6 +145,20 @@ class Graph:
             external_names=external_names,
         )
 
+    @cached_property
+    def csr(self):
+        """The adjacency as numpy CSR arrays ``(indptr, indices)``, int32
+        indices, built at first use and kept on the instance.
+
+        Imports numpy: only the array kernel of propagation calls this.
+        """
+        import numpy as np
+
+        indptr = np.zeros(self.n + 1, np.int64)
+        np.cumsum(np.fromiter(map(len, self.adjacency), np.int64, self.n), out=indptr[1:])
+        indices = np.fromiter(chain.from_iterable(self.adjacency), np.int32, 2 * self.m)
+        return indptr, indices
+
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:
             raise IndexError(f"vertex {v} out of range [0, {self.n})")
@@ -166,13 +186,14 @@ def _assemble(
     """Build the Graph of the edges listed pairwise in ``ends``, and its report.
 
     ``ends`` holds two endpoint ids per edge line or block, self-loops and
-    parallel edges included.  Self-loops are counted and dropped.  A
+    parallel edges included; it is emptied, to free it before the neighbor
+    tuples are built.  Self-loops are counted and dropped.  A
     parallel edge lands in its endpoints' neighbor lists again but not in
     their sets, so every non-loop pair beyond the m edges is a duplicate.
     """
     if not names:
         raise GraphParseError("empty graph: no vertices found")
-    neigh: list[list[int]] = [[] for _ in names]
+    neigh: list = [[] for _ in names]
     self_loops = 0
     pairs = iter(ends)
     for u, v in zip(pairs, pairs):
@@ -181,12 +202,16 @@ def _assemble(
         else:
             neigh[u].append(v)
             neigh[v].append(u)
-    adjacency = tuple([tuple(sorted(set(a))) for a in neigh])
+    lines = len(ends) // 2
+    ends.clear()
+    for v, a in enumerate(neigh):  # each list is freed as its tuple replaces it
+        neigh[v] = tuple(sorted(set(a)))
+    adjacency = tuple(neigh)
     m = sum(map(len, adjacency)) // 2
     graph = Graph(len(names), m, adjacency, tuple(names))
     report = LoadReport(
         self_loops_dropped=self_loops,
-        duplicate_edges_dropped=len(ends) // 2 - self_loops - m,
+        duplicate_edges_dropped=lines - self_loops - m,
         symmetrized=symmetrized,
         weights_ignored=weights_ignored,
     )
@@ -207,8 +232,9 @@ def load_edge_list(source: "str | TextIO") -> tuple[Graph, LoadReport]:
     ids: dict[str, int] = {}
     vertex = ids.setdefault
     ends: list[int] = []
-    # Only the loop holds the StringIO, whose buffer takes 4 bytes a
-    # character, so it is freed before the graph is built.
+    # A file is read line by line.  Text is wrapped in a StringIO, whose
+    # buffer takes 4 bytes a character; only the loop holds it, so it is
+    # freed before the graph is built.
     for lineno, raw in enumerate(io.StringIO(source) if isinstance(source, str) else source, 1):
         parts = raw.split()
         if not parts or parts[0][0] == "#":

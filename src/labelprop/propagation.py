@@ -33,6 +33,13 @@ RANDOM tie draws from a fresh stream each step, so it stays active.  The
 monochromatic-edge count f is updated from the edges at changed vertices
 rather than recounted.
 
+On graphs of at least ARRAY_MIN_EDGES edges, with numpy installed, the
+synchronous and semi-synchronous steps run in the array kernel of the
+_arrays module instead of the sweep: the same labels, change sets, f and
+tie-stream draws, with each stage counted and resolved at once.  Async
+steps, smaller graphs, installs without numpy and labels beyond int64
+run the sweep, which the tests use as the kernel's reference.
+
 Nothing re-checks the update rule at run time: the tests check that every
 update adopts a maximal neighbor label, against the reference step code
 in tests/oracles.py and against networkx's Prec-Max semi-synchronous
@@ -54,6 +61,13 @@ from .rng import Stream, mix64
 
 _TAG_TIE = 0x1
 _TAG_PERM = 0x2
+# Synchronous and semi-synchronous steps on graphs with at least this
+# many edges run in the numpy array kernel (_arrays), when numpy is
+# installed.  Below it the kernel's saving does not repay importing numpy
+# (about 0.16 s and 10-14 MiB): at 150k edges a fresh-process `run` took
+# the same time either way under sync Max, which stops after one step,
+# and less with the kernel under semi-sync Prec-Max and random.
+ARRAY_MIN_EDGES = 150_000
 
 class TieStrategy(Enum):
     RANDOM = "random"
@@ -254,22 +268,52 @@ def _sweep(
             if not synchronous:
                 for u in neigh:
                     active[u] = 1
-    f = state.f_trace[-1] if state.f_trace else state.f_start
+    f_delta = 0
     for v in changed:
         old_v, new_v = old[v], labels[v]
         for u in adjacency[v]:
             if synchronous:
                 active[u] = 1
             if u > v or u not in changed:  # an edge between two changed vertices counts once
-                f += (labels[u] == new_v) - (old[u] == old_v)
+                f_delta += (labels[u] == new_v) - (old[u] == old_v)
+    return _next_state(state, tuple(labels), f_delta, changed, tie_changed)
+
+
+def _next_state(
+    state: LabelState, labels: tuple[int, ...], f_delta: int, changed: set[int], tie_changed: set[int]
+) -> LabelState:
+    f = state.f_trace[-1] if state.f_trace else state.f_start
     return replace(
         state,
-        labels=tuple(labels),
-        step=step,
-        f_trace=state.f_trace + (f,),
+        labels=labels,
+        step=state.step + 1,
+        f_trace=state.f_trace + (f + f_delta,),
         last_changed=frozenset(changed),
         last_tie_changed=frozenset(tie_changed),
     )
+
+
+def _array_step(
+    graph: Graph,
+    state: LabelState,
+    stages: Sequence[Sequence[int]],
+    tie: TieStrategy,
+    rng: DecisionRng,
+    active: "bytearray | None",
+) -> "LabelState | None":
+    """The step by the array kernel (see _arrays), where it applies: a
+    graph of at least ARRAY_MIN_EDGES edges, numpy installed and every
+    label within int64.  Otherwise None, and the caller sweeps."""
+    if graph.m < ARRAY_MIN_EDGES:
+        return None
+    try:
+        from . import _arrays
+    except ModuleNotFoundError:
+        return None
+    if active is None:
+        active = bytearray(b"\x01") * graph.n
+    stepped = _arrays.step(graph, state.labels, stages, tie, rng, state.step + 1, active)
+    return None if stepped is None else _next_state(state, *stepped)
 
 
 def sync_step(
@@ -283,7 +327,11 @@ def sync_step(
     """One synchronous step: every vertex updates from the previous labels.
 
     Pass `active` to restrict the step to flagged vertices (see run).
+    Large graphs take the array kernel (see the module docstring).
     """
+    stepped = _array_step(graph, state, (range(graph.n),), tie, rng, active)
+    if stepped is not None:
+        return stepped
     return _sweep(graph, state, ((0, v) for v in range(graph.n)), tie, rng, True, active)
 
 
@@ -328,9 +376,13 @@ def semi_sync_step(
     processing order within a stage cannot matter.  The coloring is
     checked first unless `active` is passed: that restricts the step to
     flagged vertices, and its caller, run, checks the coloring once.
+    Large graphs take the array kernel (see the module docstring).
     """
     if active is None:
         coloring.check_proper(graph)
+    stepped = _array_step(graph, state, coloring.classes, tie, rng, active)
+    if stepped is not None:
+        return stepped
     schedule = ((stage, v) for stage, cls in enumerate(coloring.classes) for v in cls)
     return _sweep(graph, state, schedule, tie, rng, False, active)
 

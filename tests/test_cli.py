@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from strategies import edge_list_documents, gml_documents
 
-from labelprop.cli import main
+from labelprop.cli import load_graph, main
 from labelprop.graphs import GraphParseError, load_edge_list, load_gml
 
 
@@ -270,13 +270,19 @@ def _main_captured(argv):
     return code, err.getvalue()
 
 
-def _assert_exit_matches_loader(path: Path, loader) -> None:
+def _load_outcome(load, source):
+    """What a load gives: the graph and report, or the error and its line."""
     try:
-        loader(path.read_text())
-    except GraphParseError:
-        malformed = True
-    else:
-        malformed = False
+        return load(source)[:2]
+    except GraphParseError as exc:
+        return str(exc), exc.line
+
+
+def _assert_exit_matches_loader(path: Path, loader) -> None:
+    # load_graph streams the open file; the loaders also take whole text
+    outcome = _load_outcome(loader, path.read_text())
+    assert _load_outcome(load_graph, str(path)) == outcome
+    malformed = isinstance(outcome[0], str)
     code, err = _main_captured(["info", str(path)])
     assert "Traceback" not in err
     if malformed:
@@ -300,3 +306,25 @@ def test_cli_fuzzed_edge_list_exits_cleanly(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fuzz.edgelist"
     path.write_text(text, encoding="utf-8")
     _assert_exit_matches_loader(path, load_edge_list)
+
+
+@pytest.mark.parametrize(
+    "name, text, error_line",
+    [
+        ("crlf.edgelist", "# planted\r\na b\r\n\r\n#a c\r\nb  c\r\nc a\r\na b\r\nd d\r\n", None),
+        ("bad.edgelist", "# planted\r\na b\r\n\r\nb c d\r\n", 4),
+        ("crlf.gml", 'Creator "t"\r\ngraph\r\n[ # nodes\r\n  node [ id 1 label "a" ]\r\n'
+         '  node\r\n  [\r\n    id 2\r\n  ]\r\n  edge [ source 2 target 1 value 3 ]\r\n]\r\n', None),
+        ("bad.gml", "graph [\r\n  node [ id 1 ]\r\n  # x\r\n  edge [ source 1 ]\r\n]\r\n", 4),
+    ],
+)
+def test_load_graph_streams_the_file_like_the_text_loader(tmp_path: Path, name, text, error_line):
+    path = tmp_path / name
+    path.write_bytes(text.encode())
+    loader = load_gml if name.endswith(".gml") else load_edge_list
+    outcome = _load_outcome(loader, path.read_text())
+    assert _load_outcome(load_graph, str(path)) == outcome
+    if error_line is None:
+        assert outcome[0].m == (1 if name.endswith(".gml") else 3)
+    else:
+        assert outcome[1] == error_line

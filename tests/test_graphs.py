@@ -129,6 +129,15 @@ def test_from_edges_rejects_dirty_input():
         Graph.from_edges(2, [(0, 1), (1, 0)])
 
 
+def test_csr_lists_the_adjacency_and_is_built_once():
+    np = pytest.importorskip("numpy")
+    g = Graph.from_edges(5, [(1, 3), (2, 3), (0, 3)])  # 4 isolated
+    indptr, indices = g.csr
+    assert g.csr[1] is indices
+    assert indices.dtype == np.int32
+    assert [tuple(indices[indptr[v]:indptr[v + 1]].tolist()) for v in range(g.n)] == list(g.adjacency)
+
+
 def test_edges_iterates_each_edge_once():
     g = fixtures.graph("triangles-bridge")
     assert sorted(g.edges()) == [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]
