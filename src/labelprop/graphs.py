@@ -26,7 +26,11 @@ flat list, and each vertex's neighbor tuple is built from it through a
 set; the flat list, and each neighbor list once its tuple is built, are
 freed before the whole adjacency is done.  A GML block that holds only
 key/value scalars (``node [ id 5 label "x" ]``) is read in one regex
-match together with its key.  Both loaders take text or an open file;
+match together with its key, and the match captures its first three
+scalars.  A node or edge of the usual shape (``id`` and an optional
+``label``; ``source``, ``target`` and an optional ``value`` or
+``weight``) right inside the graph block is read from those captures
+alone, with no dict of its fields.  Both loaders take text or an open file;
 the edge-list loader reads a file line by line, so the CLI never holds
 an edge-list file whole.
 """
@@ -277,21 +281,43 @@ _GML_WEIGHT_KEYS = {"weight", "value"}
 # other whitespace) fails the flat form and is read token by token.
 _FLAT_SEP = r"[ \t\r\n]*"
 _FLAT_ATOM = r'[^\s\[\]"#][^ \t\[\]"\n\r]*(?![^ \t\[\]"\n\r])'
+_FLAT_VALUE = rf'{_FLAT_ATOM}|"[^"\n]*"'
+_FLAT_PAIR = rf'{_FLAT_SEP}({_FLAT_ATOM}){_FLAT_SEP}({_FLAT_VALUE})'
+_FLAT_TAIL = rf'((?:{_FLAT_SEP}{_FLAT_ATOM}{_FLAT_SEP}(?:{_FLAT_VALUE}))*)'
 # One token per match, after any whitespace: a bracket, a string, a key
 # with its whole flat block, an atom, a lone quote (an unterminated
 # string), a comment, or the end.  No alternative starts with whitespace
 # and the end is a match of its own, so the leading \s* never gives
-# characters back (scans stay linear).
+# characters back (scans stay linear).  A flat block's first three pairs
+# are captured a group each; the pairs after them match as one tail group.
 _GML_TOKEN = re.compile(
     r'\s*(?:(\[)|(\])|"([^"\n]*)"'
-    rf'|({_FLAT_ATOM}){_FLAT_SEP}\[((?:{_FLAT_SEP}{_FLAT_ATOM}{_FLAT_SEP}(?:{_FLAT_ATOM}|"[^"\n]*"))*){_FLAT_SEP}\]'
+    rf'|({_FLAT_ATOM}){_FLAT_SEP}\[((?:{_FLAT_PAIR}(?:{_FLAT_PAIR}(?:{_FLAT_PAIR}{_FLAT_TAIL}|)|)|)){_FLAT_SEP}\]'
     r'|([^\s\[\]"#][^ \t\[\]"\n\r]*)|(")|#[^\n]*|\Z)'
 )
 # _FLAT is the block's body, the last group a flat match closes: its key
-# ends at m.end(_KEY) and its '[' just before m.start(_FLAT).
-_OPEN, _CLOSE, _STRING, _KEY, _FLAT, _ATOM, _QUOTE = 1, 2, 3, 4, 5, 6, 7
-# One (key, atom value, string value) per scalar of a flat block's body.
-_GML_PAIR = re.compile(rf'{_FLAT_SEP}({_FLAT_ATOM}){_FLAT_SEP}(?:({_FLAT_ATOM})|"([^"\n]*)")')
+# ends at m.end(_KEY) and its '[' just before m.start(_FLAT).  Inside it,
+# groups _FLAT + 1 to _TAIL - 1 are the key and value of each of the first
+# three pairs, None where the block has fewer; a value keeps its quotes (an
+# atom never starts with one).  _TAIL holds the pairs after the third:
+# None or empty unless the block has four or more.
+_OPEN, _CLOSE, _STRING, _KEY, _FLAT, _TAIL, _ATOM, _QUOTE = 1, 2, 3, 4, 5, 12, 13, 14
+# One (key, value) per scalar of a flat block's tail, read like the captured pairs.
+_GML_PAIR = re.compile(_FLAT_PAIR)
+
+
+def _flat_fields(m: re.Match) -> dict[str, str]:
+    """The scalars of a flat block's match, by key; a repeated key keeps its last value."""
+    k1, v1, k2, v2, k3, v3, tail = m.groups()[_FLAT:_TAIL]  # groups _FLAT + 1 to _TAIL
+    fields = {}
+    for k, v in ((k1, v1), (k2, v2), (k3, v3)):
+        if k is None:
+            break
+        fields[k] = v[1:-1] if v[0] == '"' else v
+    if tail:
+        for k, v in _GML_PAIR.findall(tail):
+            fields[k] = v[1:-1] if v[0] == '"' else v
+    return fields
 
 
 def load_gml(source: "str | TextIO") -> tuple[Graph, LoadReport]:
@@ -335,6 +361,34 @@ def load_gml(source: "str | TextIO") -> tuple[Graph, LoadReport]:
     key_pos = 0
     for m in tokens:
         kind = m.lastindex
+        if kind == _FLAT and key is None and problem is None and stack and stack[-1][0] == "graph":
+            # A flat block right inside the graph block.  The usual node and
+            # edge shapes are read from the match's groups; any other block
+            # goes on to the general code below.
+            block, _, k1, v1, k2, v2, k3, v3, tail = m.groups()[_KEY - 1:_TAIL]
+            if block == "edge" and not tail and k1 == "source" and k2 == "target" and (
+                k3 is None or k3 in _GML_WEIGHT_KEYS
+            ):
+                src = v1[1:-1] if v1[0] == '"' else v1
+                dst = v2[1:-1] if v2[0] == '"' else v2
+                if k3 is not None:
+                    weights_seen = True
+                if src in id_to_vertex and dst in id_to_vertex:
+                    ends += id_to_vertex[src], id_to_vertex[dst]
+                else:
+                    pending_edges.append((src, dst, m.end(_KEY)))
+                continue
+            if block == "node" and k1 == "id" and k3 is None and (k2 is None or k2 == "label"):
+                node_id = v1[1:-1] if v1[0] == '"' else v1
+                if node_id in id_to_vertex:
+                    problem = (f"duplicate node id {node_id}", m.end(_KEY))
+                else:
+                    id_to_vertex[node_id] = len(names)
+                    if k2 is None:
+                        names.append(node_id)
+                    else:
+                        names.append(v2[1:-1] if v2[0] == '"' else v2)
+                continue
         if kind is None:
             continue
         if kind == _QUOTE:
@@ -363,10 +417,7 @@ def load_gml(source: "str | TextIO") -> tuple[Graph, LoadReport]:
                     role, graph_seen = "graph", True
                 elif role == "graph" and key in ("node", "edge"):
                     role = key
-                    fields = {} if kind == _OPEN else {
-                        k: atom or string
-                        for k, atom, string in _GML_PAIR.findall(text, m.start(_FLAT), m.end(_FLAT))
-                    }
+                    fields = {} if kind == _OPEN else _flat_fields(m)
                 else:
                     role = None
                 if kind == _OPEN:

@@ -96,7 +96,10 @@ class ExperimentSummary:
     Aggregates use the population (divide by N) deviation over the fixed
     trial count.  If any trial hit the step cap, its modularity is left
     out of the modularity aggregate and `non_converged` says how many
-    such trials there were; every other metric covers all trials.
+    such trials there were; every other metric covers all trials.  On an
+    edgeless graph modularity is undefined: every trial's is NaN and is
+    left out, so the modularity aggregate is NaN, as for a setting with no
+    converged trial.
     """
 
     timing: TimingModel
@@ -139,7 +142,7 @@ def _run_one(graph: Graph, setting: TestSetting, trial_index: int) -> TrialResul
     return TrialResult(
         trial_index=trial_index,
         seed=seed,
-        modularity=modularity(graph, partition),
+        modularity=modularity(graph, partition) if graph.m else float("nan"),
         steps=metrics.steps,
         stages=metrics.stages,
         community_count=stats.count,
@@ -181,7 +184,7 @@ def run_experiment(setting: TestSetting) -> ExperimentSummary:
         network=name,
         trials=setting.trials,
         base_seed=setting.base_seed,
-        modularity=_summarize([r.modularity for r in converged]),
+        modularity=_summarize([r.modularity for r in converged] if graph.m else []),
         steps=_summarize([float(r.steps) for r in results]),
         stages=_summarize([float(r.stages) for r in results]),
         communities=_summarize([float(r.community_count) for r in results]),

@@ -20,6 +20,30 @@ GML_WORDS = [
 ]
 
 
+GML_LABELS = ['"n"', '"n"', "m", '""', '"n m"']
+# Scalars that follow a block's usual ones: a weight, keys that only extend
+# the usual ones, and keys the loader skips.
+GML_EXTRA_PAIRS = [
+    ("value", "1"), ("weight", '"2"'), ("ids", "5"), ("sources", "1"), ("labels", '"z"'),
+    ("color", "3"), ("label", '"e"'),
+]
+
+
+def _block(draw, key: str, pairs: list[tuple[str, str]]) -> list[str]:
+    """A node or edge block: its usual pairs, now and then more scalars or a
+    nested block, a key that only extends the usual one, or a wrapper block."""
+    pairs = pairs + draw(st.lists(st.sampled_from(GML_EXTRA_PAIRS), max_size=2))
+    tokens = [key + "s" if draw(st.integers(0, 9)) == 0 else key, "["]
+    for pair in pairs:
+        tokens += pair
+    if draw(st.integers(0, 3)) == 0:
+        tokens += ["graphics", "[", "x", "1", "id", "7", "]"]
+    tokens.append("]")
+    if draw(st.integers(0, 9)) == 0:
+        tokens = ["x", "[", *tokens, "]"]  # not directly under the graph block
+    return tokens
+
+
 @st.composite
 def _well_formed_gml(draw) -> list[str]:
     tokens = ["graph", "["]
@@ -28,23 +52,18 @@ def _well_formed_gml(draw) -> list[str]:
     declared = draw(st.lists(st.sampled_from(GML_IDS[:6]), unique=True, max_size=4))
     repeat = declared[:1] if draw(st.integers(0, 9)) == 0 else []
     for node_id in declared + repeat:
-        tokens += ["node", "[", "id", node_id]
+        pairs = [("id", node_id)]
         if draw(st.booleans()):
-            tokens += ["label", draw(st.sampled_from(['"n"', '"n"', "m", '""']))]
-        if draw(st.booleans()):
-            tokens += ["graphics", "[", "x", "1", "id", "7", "]"]
-        tokens.append("]")
-    ends = st.sampled_from(declared * 4 + ["9"])  # rarely an undeclared node
+            pairs.insert(draw(st.integers(0, 1)), ("label", draw(st.sampled_from(GML_LABELS))))
+        tokens += _block(draw, "node", pairs)
+    ends = st.sampled_from(declared * 4 + ["9", '"1"'])  # rarely an undeclared node
     for _ in range(draw(st.integers(0, 5))):
-        tokens += ["edge", "[", "source", draw(ends), "target", draw(ends)]
-        if draw(st.booleans()):
-            tokens += [draw(st.sampled_from(["value", "weight", "label"])), "1"]
-        tokens.append("]")
+        tokens += _block(draw, "edge", [("source", draw(ends)), ("target", draw(ends))])
     tokens.append("]")
     if draw(st.booleans()):
         tokens = ["Creator", '"fuzz"', *tokens]
-    if draw(st.booleans()):
-        tokens += ["graph", "[", "node", "[", "]", "]"]
+    if draw(st.booleans()):  # a second graph block, which is never read
+        tokens += ["graph", "[", "node", "[", "]", "node", "[", "id", "1", "]", "]"]
     for _ in range(draw(st.integers(0, 2))):
         i = draw(st.integers(0, len(tokens)))
         if draw(st.booleans()) and i < len(tokens):

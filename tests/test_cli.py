@@ -116,6 +116,21 @@ def test_experiment_matrix_mode(capsys):
     assert len(cells) == 8
 
 
+def test_experiment_on_an_edgeless_graph_reports_nan_modularity(capsys, tmp_path: Path):
+    # run prints modularity=None here; experiment leaves every trial's NaN
+    # out of the aggregate instead of failing.
+    path = tmp_path / "edgeless.txt"
+    path.write_text("a a\nb b\n")
+    code, out, _ = run_cli(capsys, "experiment", str(path), "--trials", "3")
+    assert code == 0
+    summary = json.loads(out)["summaries"][0]
+    assert summary["modularity"]["mean"] != summary["modularity"]["mean"]  # NaN
+    assert summary["communities"] == {"mean": 2.0, "std": 0.0}
+    code, out, _ = run_cli(capsys, "run", str(path))
+    assert code == 0
+    assert json.loads(out)["result"]["modularity"] is None
+
+
 def test_experiment_writes_outputs(capsys, tmp_path: Path):
     outdir = tmp_path / "results"
     code, out, _ = run_cli(capsys, "experiment", "c4", "--tie", "max", "--trials", "3",

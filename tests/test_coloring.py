@@ -104,3 +104,19 @@ def test_coloring_csv_shape():
     g = fixtures.graph("path3")
     col = greedy_color(g, [0, 1, 2])
     assert coloring_csv(col) == "vertex,color\n0,0\n1,1\n2,0\n"
+
+
+def test_greedy_color_matches_networkx():
+    # networkx gives each node in the strategy's order the smallest color
+    # unused by its colored neighbors, as greedy_color does.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(5)
+    for _ in range(50):
+        n = rng.randint(1, 25)
+        g = Graph.from_edges(n, random_graph(rng, n, rng.uniform(0.1, 0.6)))
+        order = list(range(n))
+        rng.shuffle(order)
+        G = nx.Graph(g.edges())
+        G.add_nodes_from(range(n))
+        colors = nx.coloring.greedy_color(G, strategy=lambda G, colors: iter(order))
+        assert greedy_color(g, order).color_of == tuple(colors[v] for v in range(n))

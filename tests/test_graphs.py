@@ -311,6 +311,51 @@ GML_CASES = {
         "graph [ node [ id 1 # first\n ] node [ id 2 ]#\nedge [ source 1 # t\n target 2 ] ]"
     ),
     "stray quote in a block": 'graph [ node [ id 1 ] node [ id 2 " ] ]',
+    "node without a label, label before id": (
+        'graph [ node [ id 1 ] node [ label "b" id 2 ] edge [ source 1 target 2 ] ]'
+    ),
+    "fourth scalar in a block": (
+        'graph [ node [ id 1 label "a" value 3 ] node [ id 2 label "b" x 1 y 2 ]\n'
+        "edge [ source 1 target 2 value 1 color 3 ] edge [ source 2 target 1 x 1 weight 2 ] ]"
+    ),
+    "third key other than value or weight": (
+        'graph [ node [ id 1 ] node [ id 2 ] edge [ source 1 target 2 label "e" ] ]'
+    ),
+    "quoted ids and labels with spaces": (
+        'graph [ node [ id "1" label "a b" ] node [ id "x y" label "c  d" ]\n'
+        'edge [ source 1 target "x y" ] edge [ source "1" target "x y" weight 2 ] ]'
+    ),
+    "zero-width separators in usual blocks": (
+        'graph[node[id"1"label"a"]node[id"2"]edge[source"1"target"2"value"1"]]'
+    ),
+    "keys that only extend the usual ones": (
+        'graph [ node [ ids 5 id 1 ] node [ id 2 labels "x" ] nodes [ id 3 ]\n'
+        "edges [ source 1 target 2 ] edge [ source 1 target 2 values 1 ] ]"
+    ),
+    "extended key is not an endpoint": (
+        "graph [ node [ id 1 ] node [ id 2 ]\nedge [ sources 1 target 2 ] ]"
+    ),
+    "usual blocks under a non-graph block": (
+        "graph [ node [ id 1 ] x [ node [ id 2 ] edge [ source 1 target 2 ] ]\n"
+        "y [ node [ id 1 ] ] edge [ source 1 target 1 ] ]"
+    ),
+    "usual blocks inside a second graph block": (
+        "graph [ node [ id 1 ] ]\ngraph [ node [ id 1 ] node [ id 2 ] edge [ source 1 target 9 ] ]"
+    ),
+    "usual block after a pending key": (
+        "graph [ node [ id 1 ]\nlabel edge [ source 1 target 1 ] ]"
+    ),
+    "usual node after a pending key": "graph [ value\nnode [ id 1 ] ]",
+    "duplicate id in usual blocks": (
+        'graph [ node [ id 1 label "a" ]\nnode [ id "1" ] edge [ source 1 target 1 ] ]'
+    ),
+    "undeclared endpoint in usual blocks": (
+        "graph [ node [ id 1 ] edge [ source 1 target 2 ]\n"
+        "edge [ source 3 target 1 value 2 ] node [ id 2 ] ]"
+    ),
+    "usual blocks after a node error": (
+        'graph [ node [ label "x" ]\nnode [ id 1 ] node [ id 1 ] edge [ source 1 target 5 ] ]'
+    ),
 }
 
 
@@ -335,6 +380,22 @@ def test_gml_matches_reference_loader_on_edge_cases(text):
 @given(gml_documents())
 def test_gml_matches_reference_loader(text):
     assert_gml_matches_oracle(text)
+
+
+def test_gml_written_by_networkx_loads_the_same_graph():
+    # networkx writes every block in the usual shape: node [ id label ]
+    # and edge [ source target ], one key per line.
+    nx = pytest.importorskip("networkx")
+    for seed in range(20):
+        G = nx.gnm_random_graph(30, 2 * seed, seed=seed)
+        G = nx.relabel_nodes(G, {v: f"v {v}" for v in G})
+        g, report = load_gml("\n".join(nx.generate_gml(G)))
+        names = g.external_names
+        assert names == tuple(G)
+        assert {frozenset((names[u], names[v])) for u, v in g.edges()} == {
+            frozenset(e) for e in G.edges()
+        }
+        assert report == LoadReport()
 
 
 def test_gml_error_precedence():
@@ -420,8 +481,18 @@ def test_validation_is_linear_in_degree():
         ("a [ " * 20_000, "block never closed (line 1)"),
         # Each block fails the flat form only at its last separator.
         ("graph [" + " x [ a 1 b 2 \x0c]" * 20_000 + " node [ id 1 ] ]", None),
+        # The pairs after the third are the tail, which is split into pairs.
+        ("graph [ node [ id 1 ] edge [ source 1 target 1" + " a 1" * 50_000 + " ] ]", None),
+        # Each block fails the flat form only after its three captured pairs.
+        ("graph [" + " x [ a 1 b 2 c 3 \x0c]" * 20_000 + " node [ id 1 ] ]", None),
     ],
-    ids=["one long unclosed block", "deep nesting", "blocks that fail the flat form late"],
+    ids=[
+        "one long unclosed block",
+        "deep nesting",
+        "blocks that fail the flat form late",
+        "one long block",
+        "blocks that fail the flat form after three pairs",
+    ],
 )
 def test_gml_flat_blocks_scan_linearly(text, error):
     start = time.perf_counter()

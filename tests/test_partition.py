@@ -166,3 +166,23 @@ def test_membership_length_validated():
         extract_communities(g, [0, 0])
     with pytest.raises(ValueError):
         partition_from_membership(g, [0])
+
+
+def test_modularity_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(11)
+    for _ in range(50):
+        n = rng.randint(2, 25)
+        edges = random_graph(rng, n, rng.uniform(0.1, 0.6))
+        if not edges:
+            continue
+        g = Graph.from_edges(n, edges)
+        community_of = [rng.randrange(4) for _ in range(n)]
+        groups = {}
+        for v, c in enumerate(community_of):
+            groups.setdefault(c, set()).add(v)
+        G = nx.Graph(edges)
+        G.add_nodes_from(range(n))
+        expected = nx.community.modularity(G, groups.values())
+        ours = modularity(g, partition_from_membership(g, community_of))
+        assert ours == pytest.approx(expected, abs=1e-12)
