@@ -1,14 +1,13 @@
 """Community detection via label propagation with staged scheduling."""
 
 from .coloring import Coloring, color_from_labels, greedy_color
-from .graphs import Graph, GraphParseError, LoadReport, dump_edge_list, load_edge_list, load_gml
+from .graphs import Graph, GraphParseError, LoadReport, load_edge_list, load_gml
 from .harness import ExperimentSummary, TestSetting, TrialResult, run_experiment, run_trial
 from .partition import (
     Community,
     Partition,
     extract_communities,
     modularity,
-    partition_from_membership,
     partition_stats,
 )
 from .propagation import (
@@ -42,13 +41,11 @@ __all__ = [
     "TimingModel",
     "TrialResult",
     "color_from_labels",
-    "dump_edge_list",
     "extract_communities",
     "greedy_color",
     "load_edge_list",
     "load_gml",
     "modularity",
-    "partition_from_membership",
     "partition_stats",
     "run",
     "run_experiment",

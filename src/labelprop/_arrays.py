@@ -1,30 +1,45 @@
-"""Array kernel for synchronous and semi-synchronous steps (numpy).
+"""numpy versions of labelprop's passes over every edge of a large graph.
 
-Every update of a stage reads the labels as of the stage start: a
-synchronous step is one stage that reads the previous step's labels, and
-a semi-synchronous stage is a color class, whose members are pairwise
-non-adjacent.  So a stage is one data-parallel count-and-argmax over the
-CSR rows of its active vertices.  Per batch of rows, each (owner, label)
-pair becomes the key ``owner * L + rank(label)``, where the ranks number
-the step's distinct labels in increasing order; sorting the keys makes
-each pair a run, and the run lengths are the neighbor counts.  The
-largest ``count * L + rank`` of an owner is its Max pick, and its number
-of runs with the maximal count tells whether the update is a tie.  A
-stage's writes and the flags of the changed vertices' neighbors are
-applied after the whole stage.
+``graphs._arrays_for`` picks them: for graphs with at least
+``graphs.ARRAY_MIN_EDGES`` edges, when numpy is installed.  Each has a
+pure-Python counterpart that smaller graphs and installs without numpy
+run, and that the tests use as its reference: ``assemble`` builds a
+loader's adjacency (``graphs._assemble``), ``step`` is one synchronous or
+semi-synchronous step (``propagation._sweep``),
+``monochromatic_edge_count`` counts the edges whose endpoints share a
+label (the f count of propagation and the edge check of
+``Coloring.check_proper``), and ``communities`` groups the vertices
+into communities (``partition.extract_communities``).  Every pass takes
+the CSR rows in batches of about ``_BATCH_EDGES`` entries (``_rows``),
+so its temporary arrays stay small whatever the graph's size.
+
+The step kernel.  Every update of a stage reads the labels as of the
+stage start: a synchronous step is one stage that reads the previous
+step's labels, and a semi-synchronous stage is a color class, whose
+members are pairwise non-adjacent.  So a stage is one data-parallel
+count-and-argmax over the CSR rows of its active vertices.  Per batch of
+rows, each (owner, label) pair becomes the key
+``owner * L + rank(label)``, where the ranks number the step's distinct
+labels in increasing order; sorting the keys makes each pair a run, and
+the run lengths are the neighbor counts.  The largest
+``count * L + rank`` of an owner is its Max pick, and its number of runs
+with the maximal count tells whether the update is a tie.  A stage's
+writes and the flags of the changed vertices' neighbors are applied
+after the whole stage.
 
 Randomized picks (a RANDOM tie, or a PREC tie whose current label is not
 maximal) draw in Python from the same ``rng.tie_stream(step, stage,
 vertex)`` over the same sorted candidates as the pure sweep, so every
-tie rule gives the sweep's labels, change sets and f, bit for bit.  The
-sweep in propagation is this kernel's reference implementation.
+tie rule gives the sweep's labels, change sets and f, bit for bit.
 
-Importing this module imports numpy; propagation does so only for
-graphs with at least ``propagation.ARRAY_MIN_EDGES`` edges.
+Labels beyond int64, or not integers, do not fit the arrays: the label
+passes then return None and their callers run the Python loop.
+Importing this module imports numpy.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -36,6 +51,143 @@ from .propagation import DecisionRng, TieStrategy
 # (tens of bytes an entry) whatever the size of a stage: on a 193k-edge
 # graph, 16k entries a batch ran as fast as 64k and peaked 2 MiB lower.
 _BATCH_EDGES = 1 << 14
+
+
+def assemble(
+    n: int, ends: list[int]
+) -> tuple[tuple[tuple[int, ...], ...], int, tuple[np.ndarray, np.ndarray]]:
+    """The adjacency, self-loop count and CSR arrays of the graph on `n`
+    vertices whose edges `ends` lists pairwise, loops and repeats included.
+
+    `ends` is emptied once it is converted.  Each edge gives the keys
+    ``u * n + v`` and ``v * n + u``; sorted, with adjacent repeats
+    dropped, they list every row's neighbors in order, so the keys modulo
+    n are the CSR indices.  The neighbor tuples are built in row batches
+    from one list of the n vertex ids, so that they share its int objects.
+    """
+    pairs = np.fromiter(ends, np.int32, len(ends))
+    ends.clear()
+    u, v = pairs[0::2], pairs[1::2]
+    half = len(u)
+    key_type = np.int32 if n * n < 2**31 else np.int64
+    keys = np.empty(2 * half, key_type)
+    keys[:half], keys[half:] = u, v
+    keys *= n
+    keys[:half] += v
+    keys[half:] += u
+    loop = u == v
+    self_loops = int(np.count_nonzero(loop))
+    del pairs, u, v
+    # n * n exceeds every edge's key, so the sort puts the self-loops last
+    keys[:half][loop] = n * n
+    keys[half:][loop] = n * n
+    del loop
+    keys.sort()
+    keys = keys[:2 * (half - self_loops)]
+    if len(keys):  # one bool mask: np.diff(keys, prepend=...) would copy the keys first
+        new = np.empty(len(keys), bool)
+        new[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        keys = keys[new]
+        del new
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=key_type) * n).astype(np.int64, copy=False)
+    np.remainder(keys, n, out=keys)
+    indices = keys.astype(np.int32, copy=False)
+    ids = list(range(n))
+    adjacency: list[tuple[int, ...]] = []
+    for batch, _, neighbor in _rows(indptr, indices, np.arange(n, dtype=np.int32)):
+        entries = neighbor.tolist()
+        # itemgetter returns a tuple for two or more items, which slices into tuples
+        row_ids = itemgetter(*entries)(ids) if len(entries) > 1 else tuple(ids[i] for i in entries)
+        bounds = (indptr[batch[0]:batch[-1] + 2] - indptr[batch[0]]).tolist()
+        adjacency.extend([row_ids[a:b] for a, b in zip(bounds, bounds[1:])])
+    return tuple(adjacency), self_loops, (indptr, indices)
+
+
+def _label_array(labels: Sequence[int]) -> "np.ndarray | None":
+    """The labels as an int64 array; None unless they are all integers
+    within int64 (numpy would cast a float label to an integer)."""
+    lab = np.asarray(labels)
+    return lab.astype(np.int64, copy=False) if lab.dtype.kind == "i" else None
+
+
+def monochromatic_edge_count(graph: Graph, labels: Sequence[int]) -> "int | None":
+    """Number of edges whose endpoints share a label; None when a label
+    is not an integer within int64.  Each such edge is seen from both of
+    its ends."""
+    lab = _label_array(labels)
+    if lab is None:
+        return None
+    indptr, indices = graph.csr
+    twice = 0
+    for batch, owner, neighbor in _rows(indptr, indices, np.arange(graph.n, dtype=np.int32)):
+        twice += int(np.count_nonzero(lab[batch][owner] == lab[neighbor]))
+    return twice // 2
+
+
+def communities(
+    graph: Graph, labels: Sequence[int]
+) -> "tuple[list[int], list[tuple[int, ...]], list[int], list[int]] | None":
+    """The connected components of the same-label edges, numbered in
+    order of their smallest vertex: each vertex's community index, and per
+    community its members in order, internal edge count and degree sum.
+    None when a label is not an integer within int64.
+
+    The same-label edges are listed once.  Every vertex points at its
+    root, a vertex of its tree no larger than itself, and starts as its
+    own.  A round takes the listed edges whose endpoints' roots differ,
+    hooks each such pair's larger root under the smallest root it meets
+    (np.minimum.at), then points every vertex at its root by pointer
+    jumping to a fixed point; a round without such an edge ends the loop,
+    and each root is then its component's minimum.  A root that another
+    root hooked under this round has gained a vertex; one that neither
+    hooked nor gained meets only smaller roots next round and hooks then.
+    So the roots that still meet another root at least halve every two
+    rounds: at most 2 * log2(n) rounds, each one batched pass over the
+    listed edges and at most log2(n) + 1 jumps.  The internal edges of a
+    community are exactly its same-label edges, as its vertices share one
+    label.
+    """
+    lab = _label_array(labels)
+    if lab is None:
+        return None
+    n = graph.n
+    indptr, indices = graph.csr
+    first, second = np.empty(graph.m, np.int32), np.empty(graph.m, np.int32)
+    size = 0
+    for batch, owner, neighbor in _rows(indptr, indices, np.arange(n, dtype=np.int32)):
+        v = batch[owner]
+        same = (neighbor > v) & (lab[v] == lab[neighbor])
+        k = int(np.count_nonzero(same))
+        first[size:size + k], second[size:size + k] = v[same], neighbor[same]
+        size += k
+    first, second = first[:size], second[:size]
+    root = np.arange(n, dtype=np.int32)
+    while True:
+        start = root.copy()  # the round reads the roots as of its start
+        for lo in range(0, size, _BATCH_EDGES):
+            ra, rb = start[first[lo:lo + _BATCH_EDGES]], start[second[lo:lo + _BATCH_EDGES]]
+            apart = ra != rb
+            ra, rb = ra[apart], rb[apart]
+            np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        if np.array_equal(root, start):
+            break
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    is_root = root == np.arange(n, dtype=np.int32)
+    community_of = (np.cumsum(is_root) - 1)[root]
+    count = int(np.count_nonzero(is_root))
+    internal = np.zeros(count, np.int64)
+    for lo in range(0, size, _BATCH_EDGES):
+        internal += np.bincount(community_of[first[lo:lo + _BATCH_EDGES]], minlength=count)
+    degree_sum = np.bincount(community_of, weights=np.diff(indptr), minlength=count).astype(np.int64)
+    order = np.argsort(community_of, kind="stable").tolist()
+    bounds = [0, *np.cumsum(np.bincount(community_of, minlength=count)).tolist()]
+    members = [tuple(order[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    return community_of.tolist(), members, internal.tolist(), degree_sum.tolist()
 
 
 def _rows(
@@ -71,13 +223,13 @@ def step(
 
     Returns the new labels, the change of the monochromatic-edge count,
     the changed vertices and those of them that changed on a tie; or None
-    when a label does not fit int64, leaving `active` untouched.  `active`
-    is updated as the sweep updates it.
+    when a label is not an integer within int64, leaving `active`
+    untouched.  `active` is updated as the sweep updates it.
     """
-    try:
-        values, inverse = np.unique(np.array(labels, np.int64), return_inverse=True)
-    except OverflowError:
+    lab = _label_array(labels)
+    if lab is None:
         return None
+    values, inverse = np.unique(lab, return_inverse=True)
     cur = inverse.astype(np.int32)  # label ranks; a step adopts no label it did not start with
     width = len(values)
     indptr, indices = graph.csr

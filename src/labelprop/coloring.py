@@ -4,13 +4,18 @@ A coloring partitions the vertices into classes with no monochromatic
 edge; the class list order is the stage order used by the staged
 (semi-synchronous) propagation model.  Greedy coloring over any vertex
 permutation needs at most ``max_degree + 1`` colors.
+
+Checking a coloring looks at every edge; on graphs of at least
+``graphs.ARRAY_MIN_EDGES`` edges, with numpy installed, that scan is one
+array count of monochromatic edges, and the Python scan runs only to
+name the first such edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import Graph, _arrays_for
 
 
 @dataclass(frozen=True)
@@ -25,12 +30,18 @@ class Coloring:
         return len(self.classes)
 
     def check_proper(self, graph: Graph) -> None:
-        """Raise ValueError unless this is a proper coloring partitioning V."""
-        if len(self.color_of) != graph.n:
+        """Raise ValueError unless this is a proper coloring partitioning V
+        into non-empty classes."""
+        n = graph.n
+        if len(self.color_of) != n:
             raise ValueError("coloring size does not match graph")
-        seen = [False] * graph.n
+        seen = [False] * n
         for c, cls in enumerate(self.classes):
+            if not cls:
+                raise ValueError(f"class {c} is empty")
             for v in cls:
+                if not 0 <= v < n:
+                    raise ValueError(f"vertex {v} in class {c} out of range [0, {n})")
                 if self.color_of[v] != c:
                     raise ValueError(f"vertex {v} listed in class {c} but colored {self.color_of[v]}")
                 if seen[v]:
@@ -38,7 +49,10 @@ class Coloring:
                 seen[v] = True
         if not all(seen):
             raise ValueError("classes do not cover all vertices")
-        for v in range(graph.n):
+        arrays = _arrays_for(graph.m)
+        if arrays is not None and arrays.monochromatic_edge_count(graph, self.color_of) == 0:
+            return
+        for v in range(n):
             cv = self.color_of[v]
             for u in graph.adjacency[v]:
                 if self.color_of[u] == cv:

@@ -24,15 +24,22 @@ Only the sort of each vertex's neighbor list is not.  No object is made
 per edge: the loaders append the two endpoint ids of every edge to one
 flat list, and each vertex's neighbor tuple is built from it through a
 set; the flat list, and each neighbor list once its tuple is built, are
-freed before the whole adjacency is done.  A GML block that holds only
-key/value scalars (``node [ id 5 label "x" ]``) is read in one regex
-match together with its key, and the match captures its first three
-scalars.  A node or edge of the usual shape (``id`` and an optional
-``label``; ``source``, ``target`` and an optional ``value`` or
+freed before the whole adjacency is done.  With at least
+``ARRAY_MIN_EDGES`` edge lines and numpy installed, the adjacency is
+built in numpy instead (see ``_arrays.assemble``): one sort of the
+two-way ``u * n + v`` keys, then the CSR arrays, which the graph keeps
+as its ``csr``, and the neighbor tuples from them, whose entries are the
+one int object of each vertex id, as on the Python path.  Either way the
+tuples are sorted, duplicate-free and symmetric by construction, so the
+loaders build their Graph without validating it again.  A GML block that
+holds only key/value scalars (``node [ id 5 label "x" ]``) is read in
+one regex match together with its key, and the match captures its first
+three scalars.  A node or edge of the usual shape (``id`` and an
+optional ``label``; ``source``, ``target`` and an optional ``value`` or
 ``weight``) right inside the graph block is read from those captures
-alone, with no dict of its fields.  Both loaders take text or an open file;
-the edge-list loader reads a file line by line, so the CLI never holds
-an edge-list file whole.
+alone, with no dict of its fields.  Both loaders take text or an open
+file; the edge-list loader reads a file line by line, so the CLI never
+holds an edge-list file whole.
 """
 
 from __future__ import annotations
@@ -44,6 +51,30 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Iterator, NoReturn, TextIO
+
+# Passes over every edge of a graph with at least this many edges run in
+# numpy, in the _arrays module, when numpy is installed: the adjacency's
+# assembly at load (counted in edge lines, as m is not known before
+# deduplication), the synchronous and semi-synchronous propagation steps,
+# the monochromatic-edge count, the coloring's edge check and community
+# extraction.  Below it the arrays' saving does not repay importing numpy
+# (about 0.16 s and 10-14 MiB): at 150k edges a fresh-process `run` took
+# the same time either way under sync Max, which stops after one step,
+# and less with the kernel under semi-sync Prec-Max and random.
+ARRAY_MIN_EDGES = 150_000
+
+
+def _arrays_for(size: int):
+    """The _arrays module when `size` (edges or edge lines) reaches
+    ARRAY_MIN_EDGES and numpy imports, else None: the caller then runs
+    its Python loop, which is also the array pass's test oracle."""
+    if size < ARRAY_MIN_EDGES:
+        return None
+    try:
+        from . import _arrays
+    except ModuleNotFoundError:
+        return None
+    return _arrays
 
 
 class GraphParseError(ValueError):
@@ -79,7 +110,8 @@ class Graph:
 
     Instances are immutable after construction and safe for concurrent
     reads.  The constructor validates simplicity and symmetry, so every
-    Graph in circulation satisfies the representation invariants.
+    Graph in circulation satisfies the representation invariants; only
+    the loaders, whose adjacency holds them by construction, skip it.
     """
 
     n: int
@@ -129,6 +161,26 @@ class Graph:
                     raise ValueError(f"edge {{{u}, {v}}} not symmetric")
 
     @classmethod
+    def _trusted(
+        cls,
+        n: int,
+        m: int,
+        adjacency: tuple[tuple[int, ...], ...],
+        external_names: tuple[str, ...] | None,
+        csr=None,
+    ) -> "Graph":
+        """A Graph built without validation, from an adjacency that is
+        valid by construction; `csr`, when given, is kept as its csr."""
+        graph = cls.__new__(cls)
+        # Set as the generated __init__ sets them: writing __dict__ directly
+        # would slow every later attribute load on the instance.
+        for name, value in (("n", n), ("m", m), ("adjacency", adjacency), ("external_names", external_names)):
+            object.__setattr__(graph, name, value)
+        if csr is not None:
+            object.__setattr__(graph, "csr", csr)  # shadows the cached_property
+        return graph
+
+    @classmethod
     def from_edges(
         cls,
         n: int,
@@ -151,10 +203,12 @@ class Graph:
 
     @cached_property
     def csr(self):
-        """The adjacency as numpy CSR arrays ``(indptr, indices)``, int32
-        indices, built at first use and kept on the instance.
+        """The adjacency as numpy CSR arrays ``(indptr, indices)``, int64
+        indptr and int32 indices, kept on the instance.  A loader that
+        assembles in numpy stores them; otherwise they are built from the
+        tuples at first use.
 
-        Imports numpy: only the array kernel of propagation calls this.
+        Imports numpy: only the array passes of _arrays call this.
         """
         import numpy as np
 
@@ -194,25 +248,33 @@ def _assemble(
     tuples are built.  Self-loops are counted and dropped.  A
     parallel edge lands in its endpoints' neighbor lists again but not in
     their sets, so every non-loop pair beyond the m edges is a duplicate.
+    Large inputs are assembled in numpy (see the module docstring); this
+    Python loop is its test oracle.  The result is trusted: its tuples are
+    sorted, duplicate-free and symmetric by construction.
     """
     if not names:
         raise GraphParseError("empty graph: no vertices found")
-    neigh: list = [[] for _ in names]
-    self_loops = 0
-    pairs = iter(ends)
-    for u, v in zip(pairs, pairs):
-        if u == v:
-            self_loops += 1
-        else:
-            neigh[u].append(v)
-            neigh[v].append(u)
     lines = len(ends) // 2
-    ends.clear()
-    for v, a in enumerate(neigh):  # each list is freed as its tuple replaces it
-        neigh[v] = tuple(sorted(set(a)))
-    adjacency = tuple(neigh)
+    arrays = _arrays_for(lines)
+    if arrays is not None:
+        adjacency, self_loops, csr = arrays.assemble(len(names), ends)
+    else:
+        csr = None
+        neigh: list = [[] for _ in names]
+        self_loops = 0
+        pairs = iter(ends)
+        for u, v in zip(pairs, pairs):
+            if u == v:
+                self_loops += 1
+            else:
+                neigh[u].append(v)
+                neigh[v].append(u)
+        ends.clear()
+        for v, a in enumerate(neigh):  # each list is freed as its tuple replaces it
+            neigh[v] = tuple(sorted(set(a)))
+        adjacency = tuple(neigh)
     m = sum(map(len, adjacency)) // 2
-    graph = Graph(len(names), m, adjacency, tuple(names))
+    graph = Graph._trusted(len(names), m, adjacency, tuple(names), csr)
     report = LoadReport(
         self_loops_dropped=self_loops,
         duplicate_edges_dropped=lines - self_loops - m,
@@ -249,26 +311,6 @@ def load_edge_list(source: "str | TextIO") -> tuple[Graph, LoadReport]:
             )
         ends += vertex(parts[0], len(ids)), vertex(parts[1], len(ids))
     return _assemble(list(ids), ends)
-
-
-def dump_edge_list(graph: Graph) -> str:
-    """Serialize a Graph so that reloading reproduces identical dense ids.
-
-    Lines are grouped by the larger endpoint in ascending order, which
-    makes vertices first appear in id order.  A vertex with no smaller
-    neighbor is introduced by a ``v v`` marker line; the loader drops the
-    self-loop but keeps the vertex, so isolated vertices survive the
-    round trip.
-    """
-    out: list[str] = []
-    for v in range(graph.n):
-        name = graph.name_of(v)
-        if not any(u < v for u in graph.adjacency[v]):
-            out.append(f"{name} {name}")
-        for u in graph.adjacency[v]:
-            if u < v:
-                out.append(f"{graph.name_of(u)} {name}")
-    return "\n".join(out) + "\n"
 
 
 # --- GML subset -----------------------------------------------------------

@@ -5,6 +5,10 @@ identically labeled but disconnected groups count as distinct
 communities.  Quality is the usual modularity: the observed fraction of
 intra-community edges minus its expectation under a degree-preserving
 random null model.
+
+On graphs of at least ``graphs.ARRAY_MIN_EDGES`` edges, with numpy
+installed, extraction runs in numpy (see ``_arrays.communities``); the
+union-find below is its reference and the path of every other graph.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph
+from .graphs import Graph, _arrays_for
 
 
 @dataclass(frozen=True)
@@ -87,17 +91,31 @@ def _build_partition(graph: Graph, group_of: Sequence[int]) -> Partition:
             if u > v and index_of[u] == cv:
                 internal[cv] += 1
 
+    return _partition(index_of, [tuple(members) for members in ordered], internal, degree_sum)
+
+
+def _partition(
+    community_of: Sequence[int],
+    members: Sequence[tuple[int, ...]],
+    internal: Sequence[int],
+    degree_sum: Sequence[int],
+) -> Partition:
     communities = tuple(
-        Community(members=tuple(members), internal_edges=internal[i], degree_sum=degree_sum[i])
-        for i, members in enumerate(ordered)
+        Community(members=mem, internal_edges=internal[i], degree_sum=degree_sum[i])
+        for i, mem in enumerate(members)
     )
-    return Partition(communities=communities, community_of=tuple(index_of))
+    return Partition(communities=communities, community_of=tuple(community_of))
 
 
 def extract_communities(graph: Graph, labels: Sequence[int]) -> Partition:
     """Connected components of the subgraph induced by same-label edges."""
     if len(labels) != graph.n:
         raise ValueError(f"need {graph.n} labels, got {len(labels)}")
+    arrays = _arrays_for(graph.m)
+    if arrays is not None:
+        found = arrays.communities(graph, labels)
+        if found is not None:
+            return _partition(*found)
     uf = _UnionFind(graph.n)
     for v in range(graph.n):
         lv = labels[v]
@@ -105,17 +123,6 @@ def extract_communities(graph: Graph, labels: Sequence[int]) -> Partition:
             if u > v and labels[u] == lv:
                 uf.union(u, v)
     return _build_partition(graph, [uf.find(v) for v in range(graph.n)])
-
-
-def partition_from_membership(graph: Graph, community_of: Sequence[int]) -> Partition:
-    """Build a Partition from an explicit vertex -> community mapping.
-
-    Unlike extract_communities this does not require the groups to be
-    connected; it exists for scoring externally supplied partitions.
-    """
-    if len(community_of) != graph.n:
-        raise ValueError(f"need {graph.n} assignments, got {len(community_of)}")
-    return _build_partition(graph, community_of)
 
 
 def modularity(graph: Graph, partition: Partition) -> float:

@@ -33,12 +33,14 @@ RANDOM tie draws from a fresh stream each step, so it stays active.  The
 monochromatic-edge count f is updated from the edges at changed vertices
 rather than recounted.
 
-On graphs of at least ARRAY_MIN_EDGES edges, with numpy installed, the
-synchronous and semi-synchronous steps run in the array kernel of the
-_arrays module instead of the sweep: the same labels, change sets, f and
-tie-stream draws, with each stage counted and resolved at once.  Async
-steps, smaller graphs, installs without numpy and labels beyond int64
-run the sweep, which the tests use as the kernel's reference.
+On graphs of at least graphs.ARRAY_MIN_EDGES edges, with numpy
+installed, the synchronous and semi-synchronous steps run in the array
+kernel of the _arrays module instead of the sweep: the same labels,
+change sets, f and tie-stream draws, with each stage counted and
+resolved at once.  The initial f count and run's coloring check go to
+arrays on the same graphs.  Async steps, smaller graphs, installs
+without numpy and labels that are not integers within int64 run the
+Python loops, which the tests use as the arrays' reference.
 
 Nothing re-checks the update rule at run time: the tests check that every
 update adopts a maximal neighbor label, against the reference step code
@@ -56,18 +58,12 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .coloring import Coloring
-from .graphs import Graph
+from .graphs import Graph, _arrays_for
 from .rng import Stream, mix64
 
 _TAG_TIE = 0x1
 _TAG_PERM = 0x2
-# Synchronous and semi-synchronous steps on graphs with at least this
-# many edges run in the numpy array kernel (_arrays), when numpy is
-# installed.  Below it the kernel's saving does not repay importing numpy
-# (about 0.16 s and 10-14 MiB): at 150k edges a fresh-process `run` took
-# the same time either way under sync Max, which stops after one step,
-# and less with the kernel under semi-sync Prec-Max and random.
-ARRAY_MIN_EDGES = 150_000
+
 
 class TieStrategy(Enum):
     RANDOM = "random"
@@ -171,7 +167,12 @@ class DecisionRng:
 
 
 def monochromatic_edge_count(graph: Graph, labels: Sequence[int]) -> int:
-    """Number of edges whose endpoints share a label."""
+    """Number of edges whose endpoints share a label (in numpy on large graphs)."""
+    arrays = _arrays_for(graph.m)
+    if arrays is not None:
+        count = arrays.monochromatic_edge_count(graph, labels)
+        if count is not None:
+            return count
     count = 0
     for v, neigh in enumerate(graph.adjacency):
         lv = labels[v]
@@ -303,16 +304,13 @@ def _array_step(
 ) -> "LabelState | None":
     """The step by the array kernel (see _arrays), where it applies: a
     graph of at least ARRAY_MIN_EDGES edges, numpy installed and every
-    label within int64.  Otherwise None, and the caller sweeps."""
-    if graph.m < ARRAY_MIN_EDGES:
-        return None
-    try:
-        from . import _arrays
-    except ModuleNotFoundError:
+    label an integer within int64.  Otherwise None, and the caller sweeps."""
+    arrays = _arrays_for(graph.m)
+    if arrays is None:
         return None
     if active is None:
         active = bytearray(b"\x01") * graph.n
-    stepped = _arrays.step(graph, state.labels, stages, tie, rng, state.step + 1, active)
+    stepped = arrays.step(graph, state.labels, stages, tie, rng, state.step + 1, active)
     return None if stepped is None else _next_state(state, *stepped)
 
 

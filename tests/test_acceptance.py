@@ -17,11 +17,7 @@ from labelprop import fixtures
 from labelprop.coloring import Coloring, color_from_labels, greedy_color
 from labelprop.graphs import Graph
 from labelprop.harness import TestSetting, run_experiment
-from labelprop.partition import (
-    extract_communities,
-    modularity,
-    partition_from_membership,
-)
+from labelprop.partition import extract_communities, modularity
 from labelprop.propagation import (
     DecisionRng,
     RunConfig,
@@ -36,6 +32,7 @@ from labelprop.propagation import (
 )
 from labelprop.rng import Stream, mix64
 
+from helpers import partition_from_membership
 from oracles import modularity_bruteforce, random_graph
 
 BASE_SEED = 2026

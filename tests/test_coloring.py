@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -97,6 +98,22 @@ def test_check_proper_rejects_monochromatic_edge():
     g = fixtures.graph("path3")
     bad = Coloring(color_of=(0, 0, 1), classes=((0, 1), (2,)))
     with pytest.raises(ValueError):
+        bad.check_proper(g)
+
+
+@pytest.mark.parametrize(
+    "classes, message",
+    [
+        (((0, 2), (1, 5)), "vertex 5 in class 1 out of range [0, 3)"),
+        (((0,), (-2, 1)), "vertex -2 in class 1 out of range [0, 3)"),
+        (((0, 2), (1,), ()), "class 2 is empty"),
+    ],
+    ids=["member beyond n", "negative member", "empty class"],
+)
+def test_check_proper_rejects_malformed_classes(classes, message):
+    g = fixtures.graph("path3")
+    bad = Coloring(color_of=(0, 1, 0), classes=classes)
+    with pytest.raises(ValueError, match=re.escape(message)):
         bad.check_proper(g)
 
 

@@ -6,6 +6,7 @@ import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import dump_edge_list
 from strategies import edge_list_documents, edge_list_graphs, gml_documents
 
 from labelprop import fixtures
@@ -13,7 +14,6 @@ from labelprop.graphs import (
     Graph,
     GraphParseError,
     LoadReport,
-    dump_edge_list,
     load_edge_list,
     load_gml,
 )

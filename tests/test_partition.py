@@ -5,13 +5,9 @@ import pytest
 
 from labelprop import fixtures
 from labelprop.graphs import Graph
-from labelprop.partition import (
-    extract_communities,
-    modularity,
-    partition_from_membership,
-    partition_stats,
-)
+from labelprop.partition import extract_communities, modularity, partition_stats
 
+from helpers import partition_from_membership
 from oracles import modularity_bruteforce, random_graph, set_partitions
 
 
