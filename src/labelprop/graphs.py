@@ -31,15 +31,18 @@ two-way ``u * n + v`` keys, then the CSR arrays, which the graph keeps
 as its ``csr``, and the neighbor tuples from them, whose entries are the
 one int object of each vertex id, as on the Python path.  Either way the
 tuples are sorted, duplicate-free and symmetric by construction, so the
-loaders build their Graph without validating it again.  A GML block that
-holds only key/value scalars (``node [ id 5 label "x" ]``) is read in
-one regex match together with its key, and the match captures its first
-three scalars.  A node or edge of the usual shape (``id`` and an
-optional ``label``; ``source``, ``target`` and an optional ``value`` or
-``weight``) right inside the graph block is read from those captures
-alone, with no dict of its fields.  Both loaders take text or an open
-file; the edge-list loader reads a file line by line, so the CLI never
-holds an edge-list file whole.
+loaders build their Graph without validating it again.  GML is read by
+one regex scan, token by token, except for runs of node and edge blocks
+of the usual shapes (``node [ id 5 label "x" ]``, ``edge [ source 5
+target 6 value 1 ]``) right inside the graph block: each window of such
+a run, of at most ``_RUN_WINDOW`` characters, is split at whitespace in
+one call and checked by counts over its tokens, and read only when it
+reads as the scan would read it.  The scan resumes after the window;
+one that fails a check is scanned like the rest of the file, so both
+give the same graph, report and errors.  A block that holds only
+key/value scalars is one regex match together with its key.  Both
+loaders take text or an open file; the edge-list loader reads a file
+line by line, so the CLI never holds an edge-list file whole.
 """
 
 from __future__ import annotations
@@ -362,6 +365,93 @@ def _flat_fields(m: re.Match) -> dict[str, str]:
     return fields
 
 
+# The most characters one bulk read of a run of usual blocks takes: a
+# window's copy, its tokens and its id lists are made together, so this
+# bounds the memory a read adds.  Tests move it to put cuts anywhere.
+_RUN_WINDOW = 1 << 18
+# The usual node and edge blocks, by key and by their count of tokens when
+# split at whitespace: the words each place allows, none for a free place
+# (the id and label, or the source, target and weight, at 3, 5 and 7).
+_RUN_SHAPES = {
+    ("node", 5): (("node",), ("[",), ("id",), (), ("]",)),
+    ("node", 7): (("node",), ("[",), ("id",), (), ("label",), (), ("]",)),
+    ("edge", 7): (("edge",), ("[",), ("source",), (), ("target",), (), ("]",)),
+    ("edge", 9): (("edge",), ("[",), ("source",), (), ("target",), (), ("value", "weight"), (), ("]",)),
+}
+# The characters str.split() cuts at but an atom does not end at: every
+# whitespace character but space, tab, CR and LF.
+_SPLIT_ONLY_SPACES = (
+    "\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005"
+    "\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
+
+
+def _read_run(
+    text: str, start: int, key: str, names: list[str], ends: list[int], id_to_vertex: dict[str, int]
+) -> tuple[int, bool | None]:
+    """Read in bulk the run of usual blocks whose first key, `key`, starts
+    at `start` right inside the graph block.
+
+    The window is cut after the ``]`` of the run's last block that closes
+    within ``_RUN_WINDOW`` characters, so that it ends where the block kind
+    changes or the graph block closes.  It is split at whitespace once and
+    read only when its tokens are exactly k blocks of one usual shape that
+    the token scan would read the same way: no ``#``, no whitespace but
+    space, tab, CR and LF (``str.split`` cuts at form feed or no-break
+    space, an atom does not), no quote but one quoted label per node block,
+    node ids new and distinct, and edge endpoints already declared.  Then
+    the nodes join `names` and `id_to_vertex`, the endpoint ids join `ends`,
+    and the result is ``(end, weighted)``: the window's end and whether its
+    edges carry a weight.  Otherwise nothing is read and the result is
+    ``(end, None)``; the caller reads the window token by token.
+    """
+    limit = start + _RUN_WINDOW
+    # The first block sets the shape; one of no usual shape skips the window.
+    shape = _RUN_SHAPES.get((key, len(text[start : text.find("]", start, limit) + 1].split())))
+    if shape is None:
+        return limit, None
+    stride, labelled = len(shape), key == "node" and len(shape) == 7
+    last = max(text.rfind(key, start, limit), start)  # in the run's last block
+    end = text.find("]", last, limit) + 1 or text.rfind("]", start, last) + 1
+    window = text[start:end]
+    toks = window.split()
+    k = window.count("[")
+    if (
+        not k
+        or len(toks) != stride * k
+        or window.count("]") != k
+        or window.count('"') != (2 * k if labelled else 0)
+        or "#" in window
+        or any(map(window.__contains__, _SPLIT_ONLY_SPACES))
+        or not all(sum(map(toks[i::stride].count, words)) == k for i, words in enumerate(shape) if words)
+    ):
+        return end, None
+    firsts, seconds = toks[3::stride], toks[5::stride]
+    if key == "edge":
+        pairs = firsts + seconds
+        pairs[::2], pairs[1::2] = firsts, seconds
+        try:
+            pairs = list(map(id_to_vertex.__getitem__, pairs))
+        except KeyError:  # an edge names a node declared later, or never
+            return end, None
+        ends += pairs
+        return end, stride == 9
+    labels = firsts
+    if labelled:
+        # k labels that each start and end with a quote and together hold
+        # the window's 2k quotes, so each is one string token.
+        joined = "\n".join(seconds)
+        labels = joined[1:-1].split('"\n"')
+        if len(labels) != k or joined[0] != '"' or joined[-1] != '"':
+            return end, None
+    new = dict(zip(firsts, range(len(names), len(names) + k)))
+    if len(new) != k or not new.keys().isdisjoint(id_to_vertex.keys()):
+        return end, None  # a duplicate id: the token scan records it
+    id_to_vertex.update(new)
+    names += labels
+    return end, False
+
+
 def load_gml(source: "str | TextIO") -> tuple[Graph, LoadReport]:
     """Parse the GML subset used by the public community-detection datasets.
 
@@ -375,6 +465,11 @@ def load_gml(source: "str | TextIO") -> tuple[Graph, LoadReport]:
     unterminated string, then bracket and key/value errors, then a
     missing ``graph`` block, then node and edge errors in block order,
     then edges that name undeclared nodes.
+
+    Runs of usual node and edge blocks are read in bulk (see
+    ``_read_run``); the token scan reads everything else, and any window
+    of a run that it would read differently, so the result is the
+    scan's.
     """
     text = source if isinstance(source, str) else source.read()
     tokens = _GML_TOKEN.finditer(text)
@@ -401,97 +496,85 @@ def load_gml(source: "str | TextIO") -> tuple[Graph, LoadReport]:
     fields: dict[str, str] = {}  # scalars of the open node/edge block
     key: str | None = None  # the key awaiting its value, which ends at key_pos
     key_pos = 0
-    for m in tokens:
-        kind = m.lastindex
-        if kind == _FLAT and key is None and problem is None and stack and stack[-1][0] == "graph":
-            # A flat block right inside the graph block.  The usual node and
-            # edge shapes are read from the match's groups; any other block
-            # goes on to the general code below.
-            block, _, k1, v1, k2, v2, k3, v3, tail = m.groups()[_KEY - 1:_TAIL]
-            if block == "edge" and not tail and k1 == "source" and k2 == "target" and (
-                k3 is None or k3 in _GML_WEIGHT_KEYS
+    bulk_from = 0  # no run is read in bulk before the scan reaches this position
+    while True:  # one pass of the for loop per stretch the token scan reads
+        for m in tokens:
+            kind = m.lastindex
+            if (
+                kind == _FLAT and m.start() >= bulk_from and key is None and problem is None
+                and stack and stack[-1][0] == "graph"
             ):
-                src = v1[1:-1] if v1[0] == '"' else v1
-                dst = v2[1:-1] if v2[0] == '"' else v2
-                if k3 is not None:
-                    weights_seen = True
-                if src in id_to_vertex and dst in id_to_vertex:
+                # A flat block right inside the graph block: read the run of
+                # usual blocks it starts in bulk, then scan on from its end.
+                # A window that fails a check is read token by token below.
+                bulk_from, weighted = _read_run(text, m.start(_KEY), m[_KEY], names, ends, id_to_vertex)
+                if weighted is not None:
+                    weights_seen = weights_seen or weighted
+                    tokens = _GML_TOKEN.finditer(text, bulk_from)
+                    break
+            if kind is None:
+                continue
+            if kind == _QUOTE:
+                raise GraphParseError("unterminated string", line=line(m.end()))
+            if kind == _FLAT:
+                if key is not None:  # the block's key is the pending key's value
+                    fail("expected a key, got '['", m.start(_FLAT))
+                key, key_pos = m[_KEY], m.end(_KEY)
+            elif key is None:
+                if kind == _ATOM:
+                    key, key_pos = m[_ATOM], m.end()
+                    continue
+                if kind != _CLOSE:
+                    got = "[" if kind == _OPEN else m[_STRING]
+                    fail(f"expected a key, got {got!r}", m.end())
+                if not stack:
+                    fail("unbalanced brackets: stray ']'", m.end())
+                role, at, _ = stack.pop()
+            elif kind == _CLOSE:
+                fail(f"key {key!r} has no value", key_pos)
+            if key is not None:  # the key's value: a block or a scalar
+                role = stack[-1][0] if stack else None
+                if kind == _OPEN or kind == _FLAT:
+                    if not stack and key == "graph" and not graph_seen:
+                        # A flat graph block declares no node: its scalars never matter.
+                        role, graph_seen = "graph", True
+                    elif role == "graph" and key in ("node", "edge"):
+                        role = key
+                        fields = {} if kind == _OPEN else _flat_fields(m)
+                    else:
+                        role = None
+                    if kind == _OPEN:
+                        stack.append((role, key_pos, m.end()))
+                elif role == "node" or role == "edge":
+                    fields[key] = m[kind]
+                elif role == "graph" and key == "directed":
+                    directed = m[kind].strip() == "1"
+                key = None
+                if kind != _FLAT:
+                    continue
+                at = key_pos  # a flat block closes in the match that opens it
+            # A block with this role closed, at its ']' or in its flat match.
+            if role == "node" and problem is None:
+                node_id = fields.get("id")
+                if node_id is None:
+                    problem = ("node block missing 'id'", at)
+                elif node_id in id_to_vertex:
+                    problem = (f"duplicate node id {node_id}", at)
+                else:
+                    # GML nodes are distinct even when their display labels collide.
+                    id_to_vertex[node_id] = len(names)
+                    names.append(fields.get("label", node_id))
+            elif role == "edge" and problem is None:
+                src, dst = fields.get("source"), fields.get("target")
+                weights_seen = weights_seen or not _GML_WEIGHT_KEYS.isdisjoint(fields)
+                if src is None or dst is None:
+                    problem = ("edge block missing source/target", at)
+                elif src in id_to_vertex and dst in id_to_vertex:
                     ends += id_to_vertex[src], id_to_vertex[dst]
                 else:
-                    pending_edges.append((src, dst, m.end(_KEY)))
-                continue
-            if block == "node" and k1 == "id" and k3 is None and (k2 is None or k2 == "label"):
-                node_id = v1[1:-1] if v1[0] == '"' else v1
-                if node_id in id_to_vertex:
-                    problem = (f"duplicate node id {node_id}", m.end(_KEY))
-                else:
-                    id_to_vertex[node_id] = len(names)
-                    if k2 is None:
-                        names.append(node_id)
-                    else:
-                        names.append(v2[1:-1] if v2[0] == '"' else v2)
-                continue
-        if kind is None:
-            continue
-        if kind == _QUOTE:
-            raise GraphParseError("unterminated string", line=line(m.end()))
-        if kind == _FLAT:
-            if key is not None:  # the block's key is the pending key's value
-                fail("expected a key, got '['", m.start(_FLAT))
-            key, key_pos = m[_KEY], m.end(_KEY)
-        elif key is None:
-            if kind == _ATOM:
-                key, key_pos = m[_ATOM], m.end()
-                continue
-            if kind != _CLOSE:
-                got = "[" if kind == _OPEN else m[_STRING]
-                fail(f"expected a key, got {got!r}", m.end())
-            if not stack:
-                fail("unbalanced brackets: stray ']'", m.end())
-            role, at, _ = stack.pop()
-        elif kind == _CLOSE:
-            fail(f"key {key!r} has no value", key_pos)
-        if key is not None:  # the key's value: a block or a scalar
-            role = stack[-1][0] if stack else None
-            if kind == _OPEN or kind == _FLAT:
-                if not stack and key == "graph" and not graph_seen:
-                    # A flat graph block declares no node: its scalars never matter.
-                    role, graph_seen = "graph", True
-                elif role == "graph" and key in ("node", "edge"):
-                    role = key
-                    fields = {} if kind == _OPEN else _flat_fields(m)
-                else:
-                    role = None
-                if kind == _OPEN:
-                    stack.append((role, key_pos, m.end()))
-            elif role == "node" or role == "edge":
-                fields[key] = m[kind]
-            elif role == "graph" and key == "directed":
-                directed = m[kind].strip() == "1"
-            key = None
-            if kind != _FLAT:
-                continue
-            at = key_pos  # a flat block closes in the match that opens it
-        # A block with this role closed, at its ']' or in its flat match.
-        if role == "node" and problem is None:
-            node_id = fields.get("id")
-            if node_id is None:
-                problem = ("node block missing 'id'", at)
-            elif node_id in id_to_vertex:
-                problem = (f"duplicate node id {node_id}", at)
-            else:
-                # GML nodes are distinct even when their display labels collide.
-                id_to_vertex[node_id] = len(names)
-                names.append(fields.get("label", node_id))
-        elif role == "edge" and problem is None:
-            src, dst = fields.get("source"), fields.get("target")
-            weights_seen = weights_seen or not _GML_WEIGHT_KEYS.isdisjoint(fields)
-            if src is None or dst is None:
-                problem = ("edge block missing source/target", at)
-            elif src in id_to_vertex and dst in id_to_vertex:
-                ends += id_to_vertex[src], id_to_vertex[dst]
-            else:
-                pending_edges.append((src, dst, at))
+                    pending_edges.append((src, dst, at))
+        else:  # the scan reached the end
+            break
 
     if key is not None:
         fail(f"key {key!r} has no value", key_pos)

@@ -420,7 +420,7 @@ def initial_state(graph: Graph, labels: "Sequence[int] | None" = None) -> LabelS
     labels = tuple(labels)
     if len(labels) != graph.n:
         raise ValueError(f"need {graph.n} labels, got {len(labels)}")
-    if any(label < 0 for label in labels):
+    if any(not isinstance(label, int) or label < 0 for label in labels):
         raise ValueError("labels must be non-negative integers")
     return LabelState(
         labels=labels,

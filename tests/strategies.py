@@ -94,6 +94,86 @@ def _is_atom(token: str) -> bool:
     return bool(token) and token[0] not in '[]"#'
 
 
+# Separators of a run of usual blocks that str.split() and the token scan
+# both cut at; a document draws one to three and cycles through them.
+RUN_GAPS = [" ", "\n", "\n  ", "\t", "\r\n", "  ", " \n\t"]
+RUN_MUTATIONS = [
+    "lone quote", "inner quote", "glued bracket", "bracket in a value", "comment",
+    "form feed in an id", "no-break space in an id", "duplicate id", "edge before its node",
+    "fourth key", "scalars between blocks", "weight and value", "mixed stride",
+    "non-ASCII label", "non-ASCII id", "quoted id",
+]
+
+
+@st.composite
+def gml_runs(draw) -> str:
+    """A graph block of long runs of usual blocks (``node [ id label ]``,
+    ``edge [ source target value ]``), each run of one shape, with at most
+    one mutation that the bulk reader must refuse or read like the token
+    scan."""
+    n = draw(st.integers(1, 40))
+    labelled = draw(st.booleans())
+    weight = draw(st.sampled_from([None, "value", "weight"]))
+    ids = [str(v) for v in draw(st.permutations(range(n)))]
+    blocks = [["node", "[", "id", v, *(["label", f'"n{v}"'] if labelled else []), "]"] for v in ids]
+    nodes = len(blocks)
+    ends = st.sampled_from(ids)
+    for _ in range(draw(st.integers(0, 60))):
+        blocks.append(["edge", "[", "source", draw(ends), "target", draw(ends),
+                       *([weight, "1"] if weight else []), "]"])
+    mutation = draw(st.sampled_from([None, *RUN_MUTATIONS]))
+    at = draw(st.integers(0, len(blocks) - 1))
+    block = blocks[at]
+    node = blocks[draw(st.integers(0, nodes - 1))]
+    value = draw(st.sampled_from(range(3, len(block) - 1, 2)))  # an id, label, endpoint or weight
+    if mutation == "lone quote":
+        block.insert(draw(st.integers(1, len(block) - 1)), '"')
+    elif mutation == "inner quote":
+        block[value] = draw(st.sampled_from(['"a"b"', 'a"b', 'a"b"', '"a"b', '"a', block[value] + '"']))
+    elif mutation == "glued bracket":  # 5]
+        block[-2:] = [block[-2] + "]"]
+    elif mutation == "bracket in a value":
+        block[value] = draw(st.sampled_from([block[value] + "]", block[value] + "[", "a[b", '"]"']))
+    elif mutation == "comment":
+        if draw(st.booleans()):
+            block.insert(draw(st.integers(1, len(block))), draw(st.sampled_from(["# c\n", "#\n", "x#y"])))
+        else:
+            block[value] = "#" + block[value]
+    elif mutation in ("form feed in an id", "no-break space in an id"):
+        space = "\x0c" if mutation == "form feed in an id" else "\xa0"
+        block[3] = draw(st.sampled_from([block[3] + space + "1", block[3] + space, space + block[3]]))
+    elif mutation == "duplicate id":
+        node[3] = blocks[draw(st.integers(0, nodes - 1))][3]
+    elif mutation == "edge before its node":
+        blocks.append(blocks.pop(blocks.index(node)))
+    elif mutation == "fourth key":
+        block[-1:-1] = draw(st.sampled_from([["x", "1"], ["label", '"e"'], ["value", "2"]]))
+    elif mutation == "scalars between blocks":
+        # as many tokens as a block has, or an even number, which is valid GML
+        count = draw(st.sampled_from([len(block), 2, 4]))
+        blocks.insert(at, (["x", "1"] * count)[:count])
+    elif mutation == "weight and value":
+        block[-1:-1] = [draw(st.sampled_from(["value", "weight"])), "2"]
+        if len(block) == 11:
+            del block[6:8]  # the block's own weight
+    elif mutation == "mixed stride":
+        if len(block) > 5:
+            del block[-3:-1]  # no label, or no weight
+        else:
+            block[-1:-1] = ["label", '"m"']
+    elif mutation == "non-ASCII label":
+        node[-1:-1] = ["label", draw(st.sampled_from(['"é"', '"名前"', '"\U0001f600"']))]
+        if len(node) == 9:
+            del node[4:6]  # the block's own label
+    elif mutation == "non-ASCII id":
+        node[3] = draw(st.sampled_from(["é", "名", "a\u2003b"]))
+    elif mutation == "quoted id":
+        node[3] = f'"{node[3]}"'
+    gaps = draw(st.lists(st.sampled_from(RUN_GAPS), min_size=1, max_size=3))
+    tokens = ["graph", "[", *(token for b in blocks for token in b), "]"]
+    return "".join(token + gaps[i % len(gaps)] for i, token in enumerate(tokens))
+
+
 edge_list_documents = st.text(alphabet="ab01 #\t\n\r\x0c\xa0", max_size=60)
 
 EDGE_LIST_NAMES = ["a", "b", "c", "0", "1", "10", "x#y", "é"]

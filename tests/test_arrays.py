@@ -55,7 +55,7 @@ def _int64(labels):
 def kernel_cases(draw):
     """A graph (isolated vertices likely), initial labels that may repeat,
     may reach 2**32 and now and then hold one label beyond int64 or one
-    that is not an integer, and a coloring order."""
+    that is not an integer (which run() refuses), and a coloring order."""
     n = draw(st.integers(1, 24))
     pairs = list(itertools.combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=60)) if pairs else []
@@ -98,6 +98,10 @@ def test_kernel_matches_sweep(case, timing, tie, stop, seed, cap, batch):
     coloring = greedy_color(g, order) if timing is TimingModel.SEMI_SYNCHRONOUS else None
     cfg = RunConfig(timing=timing, tie=tie, stop=stop, seed=seed, step_cap=cap,
                     initial_labels=init)
+    if not all(type(label) is int for label in init):
+        with pytest.raises(ValueError, match=r"^labels must be non-negative integers$"):
+            run(g, cfg, coloring)
+        return
     draws = Counter()
     tie_stream = DecisionRng.tie_stream
 
@@ -128,7 +132,7 @@ def test_kernel_matches_sweep(case, timing, tie, stop, seed, cap, batch):
     assert len(kernel_ran) == swept[1]
     if _int64(init):
         assert all(kernel_ran)
-    else:  # beyond int64 or not integers: the sweep takes at least the first step
+    else:  # beyond int64: the sweep takes at least the first step
         assert not kernel_ran[0]
 
 

@@ -1,4 +1,5 @@
 import re
+import sys
 import time
 from io import StringIO
 
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import dump_edge_list
-from strategies import edge_list_documents, edge_list_graphs, gml_documents
+from strategies import edge_list_documents, edge_list_graphs, gml_documents, gml_runs
 
-from labelprop import fixtures
+from labelprop import fixtures, graphs
 from labelprop.graphs import (
     Graph,
     GraphParseError,
@@ -382,20 +383,102 @@ def test_gml_matches_reference_loader(text):
     assert_gml_matches_oracle(text)
 
 
+# Bulk-read window sizes: small ones cut inside blocks and between them.
+RUN_WINDOWS = [16, 64, 256, graphs._RUN_WINDOW]
+NODES = "".join(f'node [ id {v} label "n{v}" ]\n' for v in range(1, 5))
+EDGES = "".join(f"edge [ source {v} target {v % 4 + 1} ]\n" for v in range(1, 5))
+# Runs of usual blocks with one defect past their first block, where a
+# bulk read that skipped a check would read what the token scan does not.
+RUN_CASES = {
+    "clean runs": f"graph [\n{NODES}{EDGES}]",
+    "bracket glued to a later id": "graph [ node [ id 1 ] node [ id 2] ] node [ id 3 ] ]",
+    "bracket inside a later label": f'graph [\n{NODES}node [ id 5 label "a]" ]\n{EDGES}]',
+    "label of two quotes that is not one string": (
+        f'graph [\n{NODES}node [ id 5 label a"b" ]\nnode [ id 6 label "c" ]\n]'
+    ),
+    "label of a lone quote": f'graph [\n{NODES}node [ id 5 label " ]\n]',
+    "quoted ids": f'graph [ node [ id 1 ] node [ id "2" ] node [ id 3 ]\n{EDGES}node [ id 4 ] ]',
+    "quoted endpoint": f'graph [\n{NODES}{EDGES}edge [ source "1" target 2 ] ]',
+    "quoted weight": f'graph [\n{NODES}edge [ source 1 target 2 value 1 ] edge [ source 2 target 3 value "1" ] ]',
+    "quote glued to a weight": f'graph [\n{NODES}edge [ source 1 target 2 value 1 ] edge [ source 2 target 3 value 1" ] ]',
+    "comment in place of an id": f'graph [\n{NODES}node [ id #5 label "x" ]\nnode [ id 6 label "y" ] ]',
+    "atom with a hash": f"graph [\n{NODES}node [ id x#y ]\nedge [ source x#y target 1 ] ]",
+    "scalars as many as a block has tokens": "graph [ node [ id 1 ] x 7 x 1 x node [ id 2 ] node [ id 3 ] ]",
+    "valid scalars between blocks": f"graph [\n{NODES}x 1 y 2 node [ id 5 ]\n{EDGES}]",
+    "form feed between tokens": f"graph [\n{NODES}node [ id 5\x0c] node [ id 6 ] ]",
+    "no-break space in an id": f"graph [\n{NODES}node [ id 5\xa06 ] node [ id 6 ]\nedge [ source 5\xa06 target 6 ] ]",
+    "vertical tab and NEL": f"graph [\n{NODES}node\x0b[ id 5 ]\x85node [ id 6 ] ]",
+    "non-ASCII labels and ids": f'graph [\n{NODES}node [ id é label "名前" ]\nedge [ source é target 1 ] ]',
+    "duplicate id within a run": f"graph [\n{NODES}node [ id 5 ] node [ id 5 ] ]",
+    "duplicate id across runs": f"graph [\n{NODES}{EDGES}node [ id 2 ] ]",
+    "edge before its node": f"graph [\n{NODES}{EDGES}edge [ source 1 target 9 ] node [ id 9 ] ]",
+    "weight then value": f"graph [\n{NODES}edge [ source 1 target 2 weight 3 ] edge [ source 2 target 1 value 1 ] ]",
+    "fourth key past the first block": f"graph [\n{NODES}{EDGES}edge [ source 1 target 2 value 1 x 2 ] ]",
+    "mixed strides": f"graph [\n{NODES}node [ id 5 ] node [ id 6 label \"b\" ]\n{EDGES}]",
+    "CRLF and tabs": f"graph\r\n[\r\n{NODES}{EDGES}]".replace("\n", "\r\n\t").replace(" ", "\t"),
+    "graph closes after a run": f"graph [\n{NODES}]\nnode [ id 9 ]",
+    "run inside a nested block": f"graph [ x [\n{NODES}] node [ id 1 ] ]",
+}
+
+
+@pytest.mark.parametrize("window", RUN_WINDOWS)
+@pytest.mark.parametrize("text", RUN_CASES.values(), ids=list(RUN_CASES))
+def test_gml_bulk_reads_match_reference_loader_on_edge_cases(text, window):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_RUN_WINDOW", window)
+        assert_gml_matches_oracle(text)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(gml_documents(), gml_runs()), st.sampled_from(RUN_WINDOWS))
+def test_gml_bulk_reads_match_reference_loader(text, window):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_RUN_WINDOW", window)
+        assert_gml_matches_oracle(text)
+
+
+def test_split_only_spaces_are_every_other_whitespace_character():
+    every = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+    assert graphs._SPLIT_ONLY_SPACES == every.translate(dict.fromkeys(map(ord, " \t\r\n")))
+
+
+def _blocks_through_token_code(text):
+    """How many node and edge blocks load_gml reads token by token."""
+    calls = []
+    flat_fields = graphs._flat_fields
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_flat_fields", lambda m: calls.append(1) or flat_fields(m))
+        load_gml(text)
+    return len(calls)
+
+
 def test_gml_written_by_networkx_loads_the_same_graph():
     # networkx writes every block in the usual shape: node [ id label ]
     # and edge [ source target ], one key per line.
     nx = pytest.importorskip("networkx")
-    for seed in range(20):
-        G = nx.gnm_random_graph(30, 2 * seed, seed=seed)
-        G = nx.relabel_nodes(G, {v: f"v {v}" for v in G})
-        g, report = load_gml("\n".join(nx.generate_gml(G)))
-        names = g.external_names
-        assert names == tuple(G)
-        assert {frozenset((names[u], names[v])) for u, v in g.edges()} == {
-            frozenset(e) for e in G.edges()
-        }
-        assert report == LoadReport()
+    cases = [nx.relabel_nodes(nx.gnm_random_graph(30, 2 * seed, seed=seed), lambda v: f"v {v}")
+             for seed in range(20)]
+    # More text than one bulk-read window, with labels that read in bulk.
+    big = nx.relabel_nodes(nx.gnm_random_graph(3_000, 9_000, seed=5), lambda v: f"v{v}")
+    for G in [*cases, big]:
+        text = "\n".join(nx.generate_gml(G))
+        for window in (graphs._RUN_WINDOW, 16):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(graphs, "_RUN_WINDOW", window)
+                g, report = load_gml(text)
+            names = g.external_names
+            assert names == tuple(G)
+            assert {frozenset((names[u], names[v])) for u, v in g.edges()} == {
+                frozenset(e) for e in G.edges()
+            }
+            assert report == LoadReport()
+    # Every window of the big graph (the last text) is read in bulk; at 16
+    # characters none is.
+    assert len(text) > graphs._RUN_WINDOW
+    assert _blocks_through_token_code(text) == 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_RUN_WINDOW", 16)
+        assert _blocks_through_token_code(text) == big.number_of_nodes() + big.number_of_edges()
 
 
 def test_gml_error_precedence():
@@ -473,6 +556,15 @@ def test_validation_is_linear_in_degree():
     assert g.max_degree() == leaves
 
 
+def _late_failing_edges():
+    """About 20k usual edge blocks in which every bulk-read window fails
+    at its last block, an edge naming an undeclared node."""
+    block = " edge [ source 1 target {} ]"
+    per_window = (graphs._RUN_WINDOW + 1) // len(block.format(1))
+    edges = (block.format(2 if i % per_window == per_window - 1 else 1) for i in range(20_000))
+    return "graph [ node [ id 1 ]" + "".join(edges) + " edge [ source 1 target 2 ] ]"
+
+
 @pytest.mark.parametrize(
     "text, error",
     [
@@ -485,6 +577,9 @@ def test_validation_is_linear_in_degree():
         ("graph [ node [ id 1 ] edge [ source 1 target 1" + " a 1" * 50_000 + " ] ]", None),
         # Each block fails the flat form only after its three captured pairs.
         ("graph [" + " x [ a 1 b 2 c 3 \x0c]" * 20_000 + " node [ id 1 ] ]", None),
+        # A bulk read that retried each block of a failed window would split
+        # the window again for each of its blocks.
+        (_late_failing_edges(), "edge references undeclared node 2 (line 1)"),
     ],
     ids=[
         "one long unclosed block",
@@ -492,6 +587,7 @@ def test_validation_is_linear_in_degree():
         "blocks that fail the flat form late",
         "one long block",
         "blocks that fail the flat form after three pairs",
+        "usual blocks whose every bulk-read window fails at its last block",
     ],
 )
 def test_gml_flat_blocks_scan_linearly(text, error):

@@ -195,6 +195,16 @@ def test_async_step_path3_pinned_order():
     assert s.labels == (2, 2, 2)
 
 
+@pytest.mark.parametrize("bad", [-1, 0.5, 1.0, "1"])
+def test_initial_state_refuses_labels_that_are_not_non_negative_integers(bad):
+    g = fixtures.graph("path3")
+    with pytest.raises(ValueError, match=r"^labels must be non-negative integers$"):
+        initial_state(g, [0, bad, 2])
+    with pytest.raises(ValueError, match=r"^labels must be non-negative integers$"):
+        run(g, RunConfig(timing=TimingModel.SYNCHRONOUS, tie=TieStrategy.MAX,
+                         stop=StopCriterion.C1, seed=0, initial_labels=(bad, 1, 2)))
+
+
 def test_async_step_rejects_bad_order():
     g = fixtures.graph("path3")
     with pytest.raises(ValueError):
