@@ -33,16 +33,16 @@ one int object of each vertex id, as on the Python path.  Either way the
 tuples are sorted, duplicate-free and symmetric by construction, so the
 loaders build their Graph without validating it again.  GML is read by
 one regex scan, token by token, except for runs of node and edge blocks
-of the usual shapes (``node [ id 5 label "x" ]``, ``edge [ source 5
-target 6 value 1 ]``) right inside the graph block: each window of such
-a run, of at most ``_RUN_WINDOW`` characters, is split at whitespace in
-one call and checked by counts over its tokens, and read only when it
-reads as the scan would read it.  The scan resumes after the window;
-one that fails a check is scanned like the rest of the file, so both
-give the same graph, report and errors.  A block that holds only
-key/value scalars is one regex match together with its key.  Both
-loaders take text or an open file; the edge-list loader reads a file
-line by line, so the CLI never holds an edge-list file whole.
+right inside the graph block whose first block holds only key/value
+scalars (``node [ id 5 label "x" value 1 ]``, ``edge [ source 5 target
+6 ]``): each window of such a run, of at most ``_RUN_WINDOW``
+characters, is split at whitespace in one call and checked by counts
+over its tokens, and read only when every block has the first one's
+keys and reads as the scan would read it.  The scan resumes after the
+window; one that fails a check is scanned like the rest of the file, so
+both give the same graph, report and errors.  Both loaders take text or
+an open file; the edge-list loader reads a file line by line, so the
+CLI never holds an edge-list file whole.
 """
 
 from __future__ import annotations
@@ -319,65 +319,18 @@ def load_edge_list(source: "str | TextIO") -> tuple[Graph, LoadReport]:
 # --- GML subset -----------------------------------------------------------
 
 _GML_WEIGHT_KEYS = {"weight", "value"}
-# The pieces of a flat block, one that holds only key/value scalars: atoms
-# made maximal by a lookahead (so backtracking cannot split one into a key
-# and a value), strings, and the separators space, tab, CR and LF only.  A
-# block with anything else (a comment, a nested block, a stray quote, some
-# other whitespace) fails the flat form and is read token by token.
-_FLAT_SEP = r"[ \t\r\n]*"
-_FLAT_ATOM = r'[^\s\[\]"#][^ \t\[\]"\n\r]*(?![^ \t\[\]"\n\r])'
-_FLAT_VALUE = rf'{_FLAT_ATOM}|"[^"\n]*"'
-_FLAT_PAIR = rf'{_FLAT_SEP}({_FLAT_ATOM}){_FLAT_SEP}({_FLAT_VALUE})'
-_FLAT_TAIL = rf'((?:{_FLAT_SEP}{_FLAT_ATOM}{_FLAT_SEP}(?:{_FLAT_VALUE}))*)'
-# One token per match, after any whitespace: a bracket, a string, a key
-# with its whole flat block, an atom, a lone quote (an unterminated
-# string), a comment, or the end.  No alternative starts with whitespace
-# and the end is a match of its own, so the leading \s* never gives
-# characters back (scans stay linear).  A flat block's first three pairs
-# are captured a group each; the pairs after them match as one tail group.
-_GML_TOKEN = re.compile(
-    r'\s*(?:(\[)|(\])|"([^"\n]*)"'
-    rf'|({_FLAT_ATOM}){_FLAT_SEP}\[((?:{_FLAT_PAIR}(?:{_FLAT_PAIR}(?:{_FLAT_PAIR}{_FLAT_TAIL}|)|)|)){_FLAT_SEP}\]'
-    r'|([^\s\[\]"#][^ \t\[\]"\n\r]*)|(")|#[^\n]*|\Z)'
-)
-# _FLAT is the block's body, the last group a flat match closes: its key
-# ends at m.end(_KEY) and its '[' just before m.start(_FLAT).  Inside it,
-# groups _FLAT + 1 to _TAIL - 1 are the key and value of each of the first
-# three pairs, None where the block has fewer; a value keeps its quotes (an
-# atom never starts with one).  _TAIL holds the pairs after the third:
-# None or empty unless the block has four or more.
-_OPEN, _CLOSE, _STRING, _KEY, _FLAT, _TAIL, _ATOM, _QUOTE = 1, 2, 3, 4, 5, 12, 13, 14
-# One (key, value) per scalar of a flat block's tail, read like the captured pairs.
-_GML_PAIR = re.compile(_FLAT_PAIR)
-
-
-def _flat_fields(m: re.Match) -> dict[str, str]:
-    """The scalars of a flat block's match, by key; a repeated key keeps its last value."""
-    k1, v1, k2, v2, k3, v3, tail = m.groups()[_FLAT:_TAIL]  # groups _FLAT + 1 to _TAIL
-    fields = {}
-    for k, v in ((k1, v1), (k2, v2), (k3, v3)):
-        if k is None:
-            break
-        fields[k] = v[1:-1] if v[0] == '"' else v
-    if tail:
-        for k, v in _GML_PAIR.findall(tail):
-            fields[k] = v[1:-1] if v[0] == '"' else v
-    return fields
-
-
-# The most characters one bulk read of a run of usual blocks takes: a
-# window's copy, its tokens and its id lists are made together, so this
-# bounds the memory a read adds.  Tests move it to put cuts anywhere.
+# One token per match, after any whitespace: a bracket, a string, an atom, a
+# lone quote (an unterminated string), a comment, or the end.  No
+# alternative starts with whitespace and the end is a match of its own, so
+# the leading \s* never gives characters back (scans stay linear).
+_GML_TOKEN = re.compile(r'\s*(?:(\[)|(\])|"([^"\n]*)"|([^\s\[\]"#][^ \t\[\]"\n\r]*)|(")|#[^\n]*|\Z)')
+_OPEN, _CLOSE, _STRING, _ATOM, _QUOTE = 1, 2, 3, 4, 5
+# The keys a node and an edge block must have for its run to be read in bulk.
+_RUN_KEYS = {"node": {"id"}, "edge": {"source", "target"}}
+# The most characters one bulk read of a run of blocks takes: a window's
+# copy, its tokens and its id lists are made together, so this bounds the
+# memory a read adds.  Tests move it to put cuts anywhere.
 _RUN_WINDOW = 1 << 18
-# The usual node and edge blocks, by key and by their count of tokens when
-# split at whitespace: the words each place allows, none for a free place
-# (the id and label, or the source, target and weight, at 3, 5 and 7).
-_RUN_SHAPES = {
-    ("node", 5): (("node",), ("[",), ("id",), (), ("]",)),
-    ("node", 7): (("node",), ("[",), ("id",), (), ("label",), (), ("]",)),
-    ("edge", 7): (("edge",), ("[",), ("source",), (), ("target",), (), ("]",)),
-    ("edge", 9): (("edge",), ("[",), ("source",), (), ("target",), (), ("value", "weight"), (), ("]",)),
-}
 # The characters str.split() cuts at but an atom does not end at: every
 # whitespace character but space, tab, CR and LF.
 _SPLIT_ONLY_SPACES = (
@@ -389,45 +342,70 @@ _SPLIT_ONLY_SPACES = (
 def _read_run(
     text: str, start: int, key: str, names: list[str], ends: list[int], id_to_vertex: dict[str, int]
 ) -> tuple[int, bool | None]:
-    """Read in bulk the run of usual blocks whose first key, `key`, starts
-    at `start` right inside the graph block.
+    """Read in bulk the run of `key` blocks (``node`` or ``edge``) whose
+    first one starts at `start` right inside the graph block.
 
-    The window is cut after the ``]`` of the run's last block that closes
-    within ``_RUN_WINDOW`` characters, so that it ends where the block kind
-    changes or the graph block closes.  It is split at whitespace once and
-    read only when its tokens are exactly k blocks of one usual shape that
-    the token scan would read the same way: no ``#``, no whitespace but
-    space, tab, CR and LF (``str.split`` cuts at form feed or no-break
-    space, an atom does not), no quote but one quoted label per node block,
-    node ids new and distinct, and edge endpoints already declared.  Then
-    the nodes join `names` and `id_to_vertex`, the endpoint ids join `ends`,
-    and the result is ``(end, weighted)``: the window's end and whether its
-    edges carry a weight.  Otherwise nothing is read and the result is
-    ``(end, None)``; the caller reads the window token by token.
+    The first block sets the run's shape: its tokens when split at
+    whitespace, ``key [ k1 v1 ... kj vj ]`` with distinct keys and no
+    nested block, among them ``id`` for a node, ``source`` and ``target``
+    for an edge.  A first block of no such shape declines the run: the
+    result is ``(start + _RUN_WINDOW, None)``.
+
+    Otherwise the window is cut after the ``]`` of the run's last block
+    that closes within ``_RUN_WINDOW`` characters, so that it ends where
+    the block kind changes or the graph block closes.  It is split at
+    whitespace once and read only when its tokens are exactly k blocks of
+    the first one's keys that the token scan would read the same way: no
+    ``#``, no whitespace but space, tab, CR and LF (``str.split`` cuts at
+    form feed or no-break space, an atom does not), no quote but those of
+    one string per value where the first block's value is quoted, node ids
+    new and distinct, and edge endpoints already declared.  Then the nodes
+    join `names` and `id_to_vertex`, the endpoint ids join `ends`, and the
+    result is ``(end, weighted)``: the window's end and whether its edges
+    carry a weight.  Otherwise nothing is read and the result is ``(end,
+    None)``; the caller reads the window token by token.
     """
     limit = start + _RUN_WINDOW
-    # The first block sets the shape; one of no usual shape skips the window.
-    shape = _RUN_SHAPES.get((key, len(text[start : text.find("]", start, limit) + 1].split())))
-    if shape is None:
+    block = text[start : text.find("]", start, limit) + 1]
+    shape = block.split()
+    keys = shape[2:-1:2]
+    if (
+        shape[:2] != [key, "["] or len(shape) % 2 == 0 or block.count("[") != 1
+        or len(set(keys)) != len(keys) or not _RUN_KEYS[key] <= set(keys)
+    ):
         return limit, None
-    stride, labelled = len(shape), key == "node" and len(shape) == 7
+    stride = len(shape)
     last = max(text.rfind(key, start, limit), start)  # in the run's last block
     end = text.find("]", last, limit) + 1 or text.rfind("]", start, last) + 1
     window = text[start:end]
     toks = window.split()
     k = window.count("[")
     if (
-        not k
-        or len(toks) != stride * k
+        len(toks) != stride * k
         or window.count("]") != k
-        or window.count('"') != (2 * k if labelled else 0)
         or "#" in window
         or any(map(window.__contains__, _SPLIT_ONLY_SPACES))
-        or not all(sum(map(toks[i::stride].count, words)) == k for i, words in enumerate(shape) if words)
+        or not all(toks[i::stride].count(shape[i]) == k for i in (0, 1, *range(2, stride, 2)))
     ):
         return end, None
-    firsts, seconds = toks[3::stride], toks[5::stride]
+    fields = {}
+    quoted = 0
+    for i in range(3, stride - 1, 2):
+        column = toks[i::stride]
+        if shape[i][0] == '"':
+            # k values that each start and end with a quote and, by the count
+            # below, hold two quotes each: each is one string token.  Only
+            # the length check refuses a lone quote as the one value (k = 1).
+            joined = "\n".join(column)
+            column = joined[1:-1].split('"\n"')
+            if len(column) != k or len(joined) < 2 or joined[-1] != '"':
+                return end, None
+            quoted += 1
+        fields[shape[i - 1]] = column
+    if window.count('"') != 2 * k * quoted:
+        return end, None
     if key == "edge":
+        firsts, seconds = fields["source"], fields["target"]
         pairs = firsts + seconds
         pairs[::2], pairs[1::2] = firsts, seconds
         try:
@@ -435,20 +413,13 @@ def _read_run(
         except KeyError:  # an edge names a node declared later, or never
             return end, None
         ends += pairs
-        return end, stride == 9
-    labels = firsts
-    if labelled:
-        # k labels that each start and end with a quote and together hold
-        # the window's 2k quotes, so each is one string token.
-        joined = "\n".join(seconds)
-        labels = joined[1:-1].split('"\n"')
-        if len(labels) != k or joined[0] != '"' or joined[-1] != '"':
-            return end, None
-    new = dict(zip(firsts, range(len(names), len(names) + k)))
+        return end, not _GML_WEIGHT_KEYS.isdisjoint(keys)
+    ids = fields["id"]
+    new = dict(zip(ids, range(len(names), len(names) + k)))
     if len(new) != k or not new.keys().isdisjoint(id_to_vertex.keys()):
         return end, None  # a duplicate id: the token scan records it
     id_to_vertex.update(new)
-    names += labels
+    names += fields.get("label", ids)
     return end, False
 
 
@@ -466,10 +437,11 @@ def load_gml(source: "str | TextIO") -> tuple[Graph, LoadReport]:
     missing ``graph`` block, then node and edge errors in block order,
     then edges that name undeclared nodes.
 
-    Runs of usual node and edge blocks are read in bulk (see
-    ``_read_run``); the token scan reads everything else, and any window
-    of a run that it would read differently, so the result is the
-    scan's.
+    Runs of node or edge blocks of one flat shape, the keys of the run's
+    first block in its order with one scalar after each, are read in
+    bulk (see ``_read_run``); the token scan reads everything else, and
+    any window of a run that it would read differently, so the result is
+    the scan's.
     """
     text = source if isinstance(source, str) else source.read()
     tokens = _GML_TOKEN.finditer(text)
@@ -500,29 +472,27 @@ def load_gml(source: "str | TextIO") -> tuple[Graph, LoadReport]:
     while True:  # one pass of the for loop per stretch the token scan reads
         for m in tokens:
             kind = m.lastindex
-            if (
-                kind == _FLAT and m.start() >= bulk_from and key is None and problem is None
-                and stack and stack[-1][0] == "graph"
-            ):
-                # A flat block right inside the graph block: read the run of
-                # usual blocks it starts in bulk, then scan on from its end.
-                # A window that fails a check is read token by token below.
-                bulk_from, weighted = _read_run(text, m.start(_KEY), m[_KEY], names, ends, id_to_vertex)
-                if weighted is not None:
-                    weights_seen = weights_seen or weighted
-                    tokens = _GML_TOKEN.finditer(text, bulk_from)
-                    break
             if kind is None:
                 continue
             if kind == _QUOTE:
                 raise GraphParseError("unterminated string", line=line(m.end()))
-            if kind == _FLAT:
-                if key is not None:  # the block's key is the pending key's value
-                    fail("expected a key, got '['", m.start(_FLAT))
-                key, key_pos = m[_KEY], m.end(_KEY)
-            elif key is None:
+            if key is None:
                 if kind == _ATOM:
                     key, key_pos = m[_ATOM], m.end()
+                    if (
+                        (key == "node" or key == "edge") and m.start() >= bulk_from and problem is None
+                        and stack and stack[-1][0] == "graph"
+                    ):
+                        # A block right inside the graph block: read the run
+                        # it starts in bulk, then scan on from its end.  A
+                        # window that is declined or fails a check is read
+                        # token by token.
+                        bulk_from, weighted = _read_run(text, m.start(_ATOM), key, names, ends, id_to_vertex)
+                        if weighted is not None:
+                            key = None
+                            weights_seen = weights_seen or weighted
+                            tokens = _GML_TOKEN.finditer(text, bulk_from)
+                            break
                     continue
                 if kind != _CLOSE:
                     got = "[" if kind == _OPEN else m[_STRING]
@@ -532,28 +502,23 @@ def load_gml(source: "str | TextIO") -> tuple[Graph, LoadReport]:
                 role, at, _ = stack.pop()
             elif kind == _CLOSE:
                 fail(f"key {key!r} has no value", key_pos)
-            if key is not None:  # the key's value: a block or a scalar
+            else:  # the key's value: a block or a scalar
                 role = stack[-1][0] if stack else None
-                if kind == _OPEN or kind == _FLAT:
+                if kind == _OPEN:
                     if not stack and key == "graph" and not graph_seen:
-                        # A flat graph block declares no node: its scalars never matter.
                         role, graph_seen = "graph", True
                     elif role == "graph" and key in ("node", "edge"):
-                        role = key
-                        fields = {} if kind == _OPEN else _flat_fields(m)
+                        role, fields = key, {}
                     else:
                         role = None
-                    if kind == _OPEN:
-                        stack.append((role, key_pos, m.end()))
+                    stack.append((role, key_pos, m.end()))
                 elif role == "node" or role == "edge":
                     fields[key] = m[kind]
                 elif role == "graph" and key == "directed":
                     directed = m[kind].strip() == "1"
                 key = None
-                if kind != _FLAT:
-                    continue
-                at = key_pos  # a flat block closes in the match that opens it
-            # A block with this role closed, at its ']' or in its flat match.
+                continue
+            # A block with this role closed at its ']'.
             if role == "node" and problem is None:
                 node_id = fields.get("id")
                 if node_id is None:

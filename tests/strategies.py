@@ -94,46 +94,69 @@ def _is_atom(token: str) -> bool:
     return bool(token) and token[0] not in '[]"#'
 
 
-# Separators of a run of usual blocks that str.split() and the token scan
-# both cut at; a document draws one to three and cycles through them.
+# Separators of a run of blocks that str.split() and the token scan both
+# cut at; a document draws one to three and cycles through them.
 RUN_GAPS = [" ", "\n", "\n  ", "\t", "\r\n", "  ", " \n\t"]
+# Keys a run's blocks may carry besides their own (id and perhaps label, or
+# source and target): weights, which count on edges, and keys the loader skips.
+RUN_EXTRA_KEYS = {"node": ["value", "weight", "color", "source"], "edge": ["value", "weight", "color", "label"]}
 RUN_MUTATIONS = [
-    "lone quote", "inner quote", "glued bracket", "bracket in a value", "comment",
+    "lone quote", "inner quote", "glued bracket", "bracket in a value", "nested block", "comment",
     "form feed in an id", "no-break space in an id", "duplicate id", "edge before its node",
-    "fourth key", "scalars between blocks", "weight and value", "mixed stride",
-    "non-ASCII label", "non-ASCII id", "quoted id",
+    "key past the first block", "renamed key", "scalars between blocks", "mixed stride",
+    "non-ASCII label", "non-ASCII id", "quoting flipped",
 ]
+
+
+def _run(draw, kind: str, items: list[dict[str, str]]) -> list[list[str]]:
+    """Blocks of one shape, one per item: the run draws its keys' order,
+    up to three extra keys and whether each key's values are quoted."""
+    own = ["id", *(["label"] if draw(st.booleans()) else [])] if kind == "node" else ["source", "target"]
+    extra = draw(st.lists(st.sampled_from(RUN_EXTRA_KEYS[kind]), unique=True, max_size=3))
+    keys = draw(st.permutations(own + extra))
+    quoted = {key: draw(st.booleans()) for key in keys}
+    blocks = []
+    for item in items:
+        block = [kind, "["]
+        for key in keys:
+            value = item.get(key, "3" if key == "color" else "1")
+            block += key, f'"{value}"' if quoted[key] else value
+        blocks.append(block + ["]"])
+    return blocks
 
 
 @st.composite
 def gml_runs(draw) -> str:
-    """A graph block of long runs of usual blocks (``node [ id label ]``,
-    ``edge [ source target value ]``), each run of one shape, with at most
-    one mutation that the bulk reader must refuse or read like the token
-    scan."""
+    """A graph block of runs of node and edge blocks, each run of a shape
+    of its own, with at most one mutation that the bulk reader must refuse
+    or read like the token scan."""
     n = draw(st.integers(1, 40))
-    labelled = draw(st.booleans())
-    weight = draw(st.sampled_from([None, "value", "weight"]))
     ids = [str(v) for v in draw(st.permutations(range(n)))]
-    blocks = [["node", "[", "id", v, *(["label", f'"n{v}"'] if labelled else []), "]"] for v in ids]
-    nodes = len(blocks)
-    ends = st.sampled_from(ids)
-    for _ in range(draw(st.integers(0, 60))):
-        blocks.append(["edge", "[", "source", draw(ends), "target", draw(ends),
-                       *([weight, "1"] if weight else []), "]"])
+    cut = draw(st.integers(1, n))  # the nodes of the first run
+    blocks = []
+    # Two node runs, each followed by a run of edges among the nodes so far.
+    for first, stop in ((0, cut), (cut, n)):
+        blocks += _run(draw, "node", [{"id": v, "label": f"n{v}"} for v in ids[first:stop]])
+        ends = st.sampled_from(ids[:stop])
+        edges = [{"source": draw(ends), "target": draw(ends), "label": "e"} for _ in range(draw(st.integers(0, 30)))]
+        blocks += _run(draw, "edge", edges)
+    nodes = [b for b in blocks if b[0] == "node"]
     mutation = draw(st.sampled_from([None, *RUN_MUTATIONS]))
     at = draw(st.integers(0, len(blocks) - 1))
     block = blocks[at]
-    node = blocks[draw(st.integers(0, nodes - 1))]
-    value = draw(st.sampled_from(range(3, len(block) - 1, 2)))  # an id, label, endpoint or weight
+    node = draw(st.sampled_from(nodes))
+    node_id = node.index("id") + 1
+    value = draw(st.sampled_from(range(3, len(block) - 1, 2)))  # an id, label, endpoint or other value
     if mutation == "lone quote":
         block.insert(draw(st.integers(1, len(block) - 1)), '"')
     elif mutation == "inner quote":
-        block[value] = draw(st.sampled_from(['"a"b"', 'a"b', 'a"b"', '"a"b', '"a', block[value] + '"']))
+        block[value] = draw(st.sampled_from(['"a"b"', 'a"b', 'a"b"', '"a"b', '"a', '"', block[value] + '"']))
     elif mutation == "glued bracket":  # 5]
         block[-2:] = [block[-2] + "]"]
     elif mutation == "bracket in a value":
         block[value] = draw(st.sampled_from([block[value] + "]", block[value] + "[", "a[b", '"]"']))
+    elif mutation == "nested block":
+        block[value : value + 1] = ["[", "x", "1", "]"]
     elif mutation == "comment":
         if draw(st.booleans()):
             block.insert(draw(st.integers(1, len(block))), draw(st.sampled_from(["# c\n", "#\n", "x#y"])))
@@ -141,34 +164,35 @@ def gml_runs(draw) -> str:
             block[value] = "#" + block[value]
     elif mutation in ("form feed in an id", "no-break space in an id"):
         space = "\x0c" if mutation == "form feed in an id" else "\xa0"
-        block[3] = draw(st.sampled_from([block[3] + space + "1", block[3] + space, space + block[3]]))
+        node[node_id] = draw(st.sampled_from([node[node_id] + space + "1", node[node_id] + space, space + node[node_id]]))
     elif mutation == "duplicate id":
-        node[3] = blocks[draw(st.integers(0, nodes - 1))][3]
+        other = draw(st.sampled_from(nodes))
+        node[node_id] = other[other.index("id") + 1]
     elif mutation == "edge before its node":
         blocks.append(blocks.pop(blocks.index(node)))
-    elif mutation == "fourth key":
-        block[-1:-1] = draw(st.sampled_from([["x", "1"], ["label", '"e"'], ["value", "2"]]))
+    elif mutation == "key past the first block":  # perhaps one the block has already
+        block[-1:-1] = draw(st.sampled_from([["x", "1"], ["label", '"e"'], ["value", "2"], ["id", "0"]]))
+    elif mutation == "renamed key":
+        block[value - 1] = draw(st.sampled_from(["id", "label", "source", "target", "value", "weight", "x"]))
     elif mutation == "scalars between blocks":
         # as many tokens as a block has, or an even number, which is valid GML
         count = draw(st.sampled_from([len(block), 2, 4]))
         blocks.insert(at, (["x", "1"] * count)[:count])
-    elif mutation == "weight and value":
-        block[-1:-1] = [draw(st.sampled_from(["value", "weight"])), "2"]
-        if len(block) == 11:
-            del block[6:8]  # the block's own weight
     elif mutation == "mixed stride":
-        if len(block) > 5:
-            del block[-3:-1]  # no label, or no weight
+        if len(block) > 5 and draw(st.booleans()):
+            del block[value - 1 : value + 1]
         else:
-            block[-1:-1] = ["label", '"m"']
+            block[-1:-1] = ["x", "1"]
     elif mutation == "non-ASCII label":
-        node[-1:-1] = ["label", draw(st.sampled_from(['"é"', '"名前"', '"\U0001f600"']))]
-        if len(node) == 9:
-            del node[4:6]  # the block's own label
+        label = draw(st.sampled_from(['"é"', '"名前"', '"\U0001f600"', "é"]))
+        if "label" in node:
+            node[node.index("label") + 1] = label
+        else:
+            node[-1:-1] = ["label", label]
     elif mutation == "non-ASCII id":
-        node[3] = draw(st.sampled_from(["é", "名", "a\u2003b"]))
-    elif mutation == "quoted id":
-        node[3] = f'"{node[3]}"'
+        node[node_id] = draw(st.sampled_from(["é", "名", "a\u2003b"]))
+    elif mutation == "quoting flipped":
+        block[value] = block[value][1:-1] if block[value][0] == '"' else f'"{block[value]}"'
     gaps = draw(st.lists(st.sampled_from(RUN_GAPS), min_size=1, max_size=3))
     tokens = ["graph", "[", *(token for b in blocks for token in b), "]"]
     return "".join(token + gaps[i % len(gaps)] for i, token in enumerate(tokens))

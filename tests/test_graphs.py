@@ -387,7 +387,7 @@ def test_gml_matches_reference_loader(text):
 RUN_WINDOWS = [16, 64, 256, graphs._RUN_WINDOW]
 NODES = "".join(f'node [ id {v} label "n{v}" ]\n' for v in range(1, 5))
 EDGES = "".join(f"edge [ source {v} target {v % 4 + 1} ]\n" for v in range(1, 5))
-# Runs of usual blocks with one defect past their first block, where a
+# Runs of blocks with one defect, past their first block or in it, where a
 # bulk read that skipped a check would read what the token scan does not.
 RUN_CASES = {
     "clean runs": f"graph [\n{NODES}{EDGES}]",
@@ -418,6 +418,19 @@ RUN_CASES = {
     "CRLF and tabs": f"graph\r\n[\r\n{NODES}{EDGES}]".replace("\n", "\r\n\t").replace(" ", "\t"),
     "graph closes after a run": f"graph [\n{NODES}]\nnode [ id 9 ]",
     "run inside a nested block": f"graph [ x [\n{NODES}] node [ id 1 ] ]",
+    "lone-quote value in a one-block run": 'graph [ node [ weight " label "q"a9" id 9 ] ]',
+    "repeated key": f"graph [ node [ id 1 id 2 ] node [ id 3 id 4 ]\n{EDGES}]",
+    "first block missing id": f'graph [ node [ label "a" ] node [ label "b" ]\n{EDGES}]',
+    "first block missing target": f"graph [\n{NODES}{EDGES}node [ id 9 ] edge [ source 1 ] edge [ source 2 ] ]",
+    "nested block as a value": f"graph [ node [ id 5 g [ x 1 ] ] node [ id 6 g [ x 1 ] ]\n{NODES}{EDGES}]",
+    "graph-level scalar node before a run": f"graph [ node 5\n{NODES}{EDGES}]",
+    "label before id throughout a run": (
+        "graph [\n" + "".join(f'node [ label "n{v}" id {v} ]\n' for v in range(1, 5)) + f"{EDGES}]"
+    ),
+    "unquoted label": "graph [\n" + "".join(f"node [ id {v} label n{v} ]\n" for v in range(1, 5)) + f"{EDGES}]",
+    "value on every node": (
+        "graph [\n" + "".join(f'node [ id {v} label "n{v}" value {v % 2} ]\n' for v in range(1, 5)) + f"{EDGES}]"
+    ),
 }
 
 
@@ -442,25 +455,61 @@ def test_split_only_spaces_are_every_other_whitespace_character():
     assert graphs._SPLIT_ONLY_SPACES == every.translate(dict.fromkeys(map(ord, " \t\r\n")))
 
 
+@pytest.mark.parametrize(
+    "block",
+    [
+        "node 5 node [ id 1 ]",
+        "node [ id 1 id 2 ]",
+        'node [ label "a" ]',
+        "edge [ source 1 ]",
+        "edge [ target 1 value 2 ]",
+        "node [ id 1 g [ x 1 ] ]",
+        "node [ id 1 g [x 1 ] ]",
+        "node [ id ]",
+        "node[ id 1 ]",
+    ],
+)
+def test_gml_bulk_read_declines_a_first_block_of_no_flat_shape(block):
+    # A declined first block gives up the whole window, so that blocks of
+    # no flat shape cannot start a bulk read each.
+    text = f"graph [ {block} node [ id 7 ] ]"
+    start = text.index(block)
+    names, ends, ids = [], [], {}
+    result = graphs._read_run(text, start, block[:4], names, ends, ids)
+    assert result == (start + graphs._RUN_WINDOW, None)
+    assert (names, ends, ids) == ([], [], {})
+
+
 def _blocks_through_token_code(text):
-    """How many node and edge blocks load_gml reads token by token."""
-    calls = []
-    flat_fields = graphs._flat_fields
+    """How many node and edge blocks load_gml reads token by token: the
+    blocks of the loaded graph that _read_run does not read."""
+    read = []
+    read_run = graphs._read_run
+
+    def counted(text, start, key, names, ends, id_to_vertex):
+        before = len(names) + len(ends) // 2
+        result = read_run(text, start, key, names, ends, id_to_vertex)
+        read.append(len(names) + len(ends) // 2 - before)
+        return result
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graphs, "_flat_fields", lambda m: calls.append(1) or flat_fields(m))
-        load_gml(text)
-    return len(calls)
+        mp.setattr(graphs, "_read_run", counted)
+        g, report = load_gml(text)
+    return g.n + g.m + report.duplicate_edges_dropped + report.self_loops_dropped - sum(read)
 
 
 def test_gml_written_by_networkx_loads_the_same_graph():
-    # networkx writes every block in the usual shape: node [ id label ]
-    # and edge [ source target ], one key per line.
+    # networkx writes node [ id label ] and edge [ source target ] blocks,
+    # one key per line, with a node's attributes as more keys.
     nx = pytest.importorskip("networkx")
     cases = [nx.relabel_nodes(nx.gnm_random_graph(30, 2 * seed, seed=seed), lambda v: f"v {v}")
              for seed in range(20)]
-    # More text than one bulk-read window, with labels that read in bulk.
+    # More text than one bulk-read window, with labels that read in bulk,
+    # and then with an int attribute on every node.
     big = nx.relabel_nodes(nx.gnm_random_graph(3_000, 9_000, seed=5), lambda v: f"v{v}")
-    for G in [*cases, big]:
+    valued = nx.relabel_nodes(nx.gnm_random_graph(3_000, 9_000, seed=6), lambda v: f"v{v}")
+    nx.set_node_attributes(valued, {v: len(v) % 3 for v in valued}, "value")
+    for G in [*cases, big, valued]:
         text = "\n".join(nx.generate_gml(G))
         for window in (graphs._RUN_WINDOW, 16):
             with pytest.MonkeyPatch.context() as mp:
@@ -472,13 +521,14 @@ def test_gml_written_by_networkx_loads_the_same_graph():
                 frozenset(e) for e in G.edges()
             }
             assert report == LoadReport()
-    # Every window of the big graph (the last text) is read in bulk; at 16
-    # characters none is.
-    assert len(text) > graphs._RUN_WINDOW
-    assert _blocks_through_token_code(text) == 0
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graphs, "_RUN_WINDOW", 16)
-        assert _blocks_through_token_code(text) == big.number_of_nodes() + big.number_of_edges()
+    # Every window of the big graphs is read in bulk; at 16 characters none is.
+    for G in (big, valued):
+        text = "\n".join(nx.generate_gml(G))
+        assert len(text) > graphs._RUN_WINDOW
+        assert _blocks_through_token_code(text) == 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "_RUN_WINDOW", 16)
+            assert _blocks_through_token_code(text) == G.number_of_nodes() + G.number_of_edges()
 
 
 def test_gml_error_precedence():
@@ -556,10 +606,9 @@ def test_validation_is_linear_in_degree():
     assert g.max_degree() == leaves
 
 
-def _late_failing_edges():
-    """About 20k usual edge blocks in which every bulk-read window fails
-    at its last block, an edge naming an undeclared node."""
-    block = " edge [ source 1 target {} ]"
+def _late_failing_edges(block=" edge [ source 1 target {} ]"):
+    """About 20k edge blocks of one shape in which every bulk-read window
+    fails at its last block, an edge naming an undeclared node."""
     per_window = (graphs._RUN_WINDOW + 1) // len(block.format(1))
     edges = (block.format(2 if i % per_window == per_window - 1 else 1) for i in range(20_000))
     return "graph [ node [ id 1 ]" + "".join(edges) + " edge [ source 1 target 2 ] ]"
@@ -568,18 +617,22 @@ def _late_failing_edges():
 @pytest.mark.parametrize(
     "text, error",
     [
-        # The flat form reads every pair before it finds no ']'.
+        # A block of scalars (a flat block) that never closes.
         ("graph [ k [" + " a 1" * 50_000, "block never closed (line 1)"),
         ("a [ " * 20_000, "block never closed (line 1)"),
-        # Each block fails the flat form only at its last separator.
+        # Flat blocks with a form feed before each ']', read token by token.
         ("graph [" + " x [ a 1 b 2 \x0c]" * 20_000 + " node [ id 1 ] ]", None),
-        # The pairs after the third are the tail, which is split into pairs.
+        # An edge block of 50k pairs, the first block of its run.
         ("graph [ node [ id 1 ] edge [ source 1 target 1" + " a 1" * 50_000 + " ] ]", None),
-        # Each block fails the flat form only after its three captured pairs.
+        # Flat blocks of three pairs with a form feed before each ']'.
         ("graph [" + " x [ a 1 b 2 c 3 \x0c]" * 20_000 + " node [ id 1 ] ]", None),
         # A bulk read that retried each block of a failed window would split
         # the window again for each of its blocks.
         (_late_failing_edges(), "edge references undeclared node 2 (line 1)"),
+        (
+            _late_failing_edges(' edge [ label "e" source 1 value 1 target {} color 3 weight 2 ]'),
+            "edge references undeclared node 2 (line 1)",
+        ),
     ],
     ids=[
         "one long unclosed block",
@@ -588,6 +641,7 @@ def _late_failing_edges():
         "one long block",
         "blocks that fail the flat form after three pairs",
         "usual blocks whose every bulk-read window fails at its last block",
+        "six-key blocks whose every bulk-read window fails at its last block",
     ],
 )
 def test_gml_flat_blocks_scan_linearly(text, error):
