@@ -9,9 +9,10 @@ semi-synchronous step (``propagation._sweep``),
 ``monochromatic_edge_count`` counts the edges whose endpoints share a
 label (the f count of propagation and the edge check of
 ``Coloring.check_proper``), and ``communities`` groups the vertices
-into communities (``partition.extract_communities``).  Every pass takes
-the CSR rows in batches of about ``_BATCH_EDGES`` entries (``_rows``),
-so its temporary arrays stay small whatever the graph's size.
+into communities by the same union-find scheme, in rounds
+(``partition.extract_communities``).  Every pass takes the CSR rows in
+batches of about ``_BATCH_EDGES`` entries (``_rows``), so its temporary
+arrays stay small whatever the graph's size.
 
 The step kernel.  Every update of a stage reads the labels as of the
 stage start: a synchronous step is one stage that reads the previous
@@ -146,7 +147,7 @@ def communities(
     rounds: at most 2 * log2(n) rounds, each one batched pass over the
     listed edges and at most log2(n) + 1 jumps.  The internal edges of a
     community are exactly its same-label edges, as its vertices share one
-    label.
+    label, so each is counted at its lower end, as in the Python loop.
     """
     lab = _label_array(labels)
     if lab is None:
@@ -180,9 +181,8 @@ def communities(
     is_root = root == np.arange(n, dtype=np.int32)
     community_of = (np.cumsum(is_root) - 1)[root]
     count = int(np.count_nonzero(is_root))
-    internal = np.zeros(count, np.int64)
-    for lo in range(0, size, _BATCH_EDGES):
-        internal += np.bincount(community_of[first[lo:lo + _BATCH_EDGES]], minlength=count)
+    same = np.bincount(first, minlength=n)  # same-label edges, each at its lower end
+    internal = np.bincount(community_of, weights=same, minlength=count).astype(np.int64)
     degree_sum = np.bincount(community_of, weights=np.diff(indptr), minlength=count).astype(np.int64)
     order = np.argsort(community_of, kind="stable").tolist()
     bounds = [0, *np.cumsum(np.bincount(community_of, minlength=count)).tolist()]

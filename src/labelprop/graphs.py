@@ -331,6 +331,7 @@ _RUN_KEYS = {"node": {"id"}, "edge": {"source", "target"}}
 # copy, its tokens and its id lists are made together, so this bounds the
 # memory a read adds.  Tests move it to put cuts anywhere.
 _RUN_WINDOW = 1 << 18
+_EDGE_START = re.compile(r"edge\s*\[")  # where the scan of a declined node run stops
 # The characters str.split() cuts at but an atom does not end at: every
 # whitespace character but space, tab, CR and LF.
 _SPLIT_ONLY_SPACES = (
@@ -349,7 +350,9 @@ def _read_run(
     whitespace, ``key [ k1 v1 ... kj vj ]`` with distinct keys and no
     nested block, among them ``id`` for a node, ``source`` and ``target``
     for an edge.  A first block of no such shape declines the run: the
-    result is ``(start + _RUN_WINDOW, None)``.
+    result is ``(stop, None)``: the window's end ``start + _RUN_WINDOW``,
+    or for a node run its first ``edge [``, so that the usual edges after
+    nodes of no flat shape are still read in bulk.
 
     Otherwise the window is cut after the ``]`` of the run's last block
     that closes within ``_RUN_WINDOW`` characters, so that it ends where
@@ -373,7 +376,8 @@ def _read_run(
         shape[:2] != [key, "["] or len(shape) % 2 == 0 or block.count("[") != 1
         or len(set(keys)) != len(keys) or not _RUN_KEYS[key] <= set(keys)
     ):
-        return limit, None
+        edge = _EDGE_START.search(text, start, limit) if key == "node" else None
+        return (edge.start() if edge else limit), None
     stride = len(shape)
     last = max(text.rfind(key, start, limit), start)  # in the run's last block
     end = text.find("]", last, limit) + 1 or text.rfind("]", start, last) + 1
@@ -480,7 +484,7 @@ def load_gml(source: "str | TextIO") -> tuple[Graph, LoadReport]:
                 if kind == _ATOM:
                     key, key_pos = m[_ATOM], m.end()
                     if (
-                        (key == "node" or key == "edge") and m.start() >= bulk_from and problem is None
+                        (key == "node" or key == "edge") and m.start(_ATOM) >= bulk_from and problem is None
                         and stack and stack[-1][0] == "graph"
                     ):
                         # A block right inside the graph block: read the run

@@ -6,9 +6,15 @@ communities.  Quality is the usual modularity: the observed fraction of
 intra-community edges minus its expectation under a degree-preserving
 random null model.
 
-On graphs of at least ``graphs.ARRAY_MIN_EDGES`` edges, with numpy
-installed, extraction runs in numpy (see ``_arrays.communities``); the
-union-find below is its reference and the path of every other graph.
+Extraction is a union-find with one scheme on both of its paths.  A
+union hooks the larger root under the smaller, so every parent is no
+larger than its child and each root is its component's smallest vertex.
+Each same-label edge, internal as a community shares one label, counts
+at its lower end.  One ascending pass numbers the communities: a root
+opens the next one, any other vertex joins its parent's.  On graphs of
+at least ``graphs.ARRAY_MIN_EDGES`` edges, with numpy installed, this
+runs in numpy (``_arrays.communities``); the Python loop is its
+reference and the path of every other graph.
 """
 
 from __future__ import annotations
@@ -49,51 +55,6 @@ class PartitionStats:
     sizes: tuple[int, ...]
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, v: int) -> int:
-        parent = self.parent
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if ra > rb:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
-def _build_partition(graph: Graph, group_of: Sequence[int]) -> Partition:
-    """Assemble Community records from a vertex -> group-key mapping."""
-    members_by_group: dict[int, list[int]] = {}
-    for v in range(graph.n):
-        members_by_group.setdefault(group_of[v], []).append(v)
-    ordered = sorted(members_by_group.values(), key=lambda mem: mem[0])
-
-    index_of = [0] * graph.n
-    for index, members in enumerate(ordered):
-        for v in members:
-            index_of[v] = index
-
-    internal = [0] * len(ordered)
-    degree_sum = [0] * len(ordered)
-    for v in range(graph.n):
-        cv = index_of[v]
-        degree_sum[cv] += len(graph.adjacency[v])
-        for u in graph.adjacency[v]:
-            if u > v and index_of[u] == cv:
-                internal[cv] += 1
-
-    return _partition(index_of, [tuple(members) for members in ordered], internal, degree_sum)
-
-
 def _partition(
     community_of: Sequence[int],
     members: Sequence[tuple[int, ...]],
@@ -116,13 +77,40 @@ def extract_communities(graph: Graph, labels: Sequence[int]) -> Partition:
         found = arrays.communities(graph, labels)
         if found is not None:
             return _partition(*found)
-    uf = _UnionFind(graph.n)
-    for v in range(graph.n):
+    adjacency = graph.adjacency
+    parent = list(range(graph.n))
+    same = [0] * graph.n  # same-label edges, each at its lower end
+
+    def find(v: int) -> int:
+        root = v
+        while parent[root] != root:
+            root = parent[root]
+        while parent[v] != root:
+            parent[v], v = root, parent[v]
+        return root
+
+    for v, neigh in enumerate(adjacency):
         lv = labels[v]
-        for u in graph.adjacency[v]:
+        for u in neigh:
             if u > v and labels[u] == lv:
-                uf.union(u, v)
-    return _build_partition(graph, [uf.find(v) for v in range(graph.n)])
+                same[v] += 1
+                ru, rv = find(u), find(v)
+                if ru > rv:
+                    parent[ru] = rv
+                elif ru < rv:
+                    parent[rv] = ru
+    community_of: list[int] = []
+    members: list[list[int]] = []
+    for v, p in enumerate(parent):
+        if p == v:  # a root opens the next community
+            community_of.append(len(members))
+            members.append([v])
+        else:  # p < v, numbered already
+            community_of.append(community_of[p])
+            members[community_of[p]].append(v)
+    internal = [sum(same[v] for v in mem) for mem in members]
+    degree_sum = [sum(len(adjacency[v]) for v in mem) for mem in members]
+    return _partition(community_of, [tuple(mem) for mem in members], internal, degree_sum)
 
 
 def modularity(graph: Graph, partition: Partition) -> float:

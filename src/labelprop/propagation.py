@@ -45,13 +45,12 @@ Python loops, which the tests use as the arrays' reference.
 Nothing re-checks the update rule at run time: the tests check that every
 update adopts a maximal neighbor label, against the reference step code
 in tests/oracles.py and against networkx's Prec-Max semi-synchronous
-label propagation.  What run does check is the staged model's
-convergence guarantee (MonotoneViolation).
+label propagation.  What run does check is the convergence theorem, on
+every async and semi-synchronous step (MonotoneViolation; see run).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401 - bench/layers.py patches this name
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -402,18 +401,6 @@ def labels_locally_maximal(graph: Graph, labels: Sequence[int]) -> bool:
     return True
 
 
-def check_c2(history: Sequence[Sequence[int]]) -> int:
-    """The period (1 or 2) with which the newest labeling repeats an
-    earlier one, or 0 if it equals neither of the two before it."""
-    if len(history) < 2:
-        raise ValueError("need at least two labelings")
-    current = tuple(history[-1])
-    for period in (1, 2):
-        if len(history) > period and current == tuple(history[-1 - period]):
-            return period
-    return 0
-
-
 def initial_state(graph: Graph, labels: "Sequence[int] | None" = None) -> LabelState:
     if labels is None:
         labels = range(graph.n)
@@ -443,18 +430,19 @@ def stage_count(timing: TimingModel, steps: int, n: int, num_colors: "int | None
 
 
 class MonotoneViolation(RuntimeError):
-    """The staged model's monochromatic-edge potential failed to grow."""
+    """A step broke the convergence theorem: it made a change that must
+    raise the monochromatic-edge potential, and the potential did not grow."""
 
 
-def _check_monotone(state: LabelState, non_tie: "frozenset[int]") -> None:
-    if not non_tie:
+def _check_monotone(state: LabelState, must_raise: "frozenset[int]") -> None:
+    if not must_raise:
         return
     f_now = state.f_trace[-1]
     f_prev = state.f_trace[-2] if len(state.f_trace) >= 2 else state.f_start
     if f_now <= f_prev:
         raise MonotoneViolation(
             f"step {state.step}: monochromatic edges went {f_prev} -> {f_now} "
-            f"despite non-tie changes at {sorted(non_tie)}"
+            f"despite changes at {sorted(must_raise)}"
         )
 
 
@@ -469,10 +457,25 @@ def run(
     A coloring is required for (and only for) semi-synchronous timing and
     is validated up front.  Hitting the cap is not an error: the state
     comes back with CAP_EXCEEDED status (synchronous random-tie runs may
-    legitimately never settle).  Every semi-synchronous step is checked
-    against the staged model's convergence guarantee: a step containing a
-    non-tie change must strictly increase the monochromatic-edge count,
-    otherwise MonotoneViolation aborts the run.
+    legitimately never settle).
+
+    Async and semi-synchronous steps are checked against the convergence
+    theorem.  No two updates of one of their stages are adjacent, so no
+    update lowers the monochromatic-edge count f, and one that leaves a
+    non-maximal label (every non-tie change, and every Prec or Prec-Max
+    change) raises it.  A step fails, with MonotoneViolation, if f did not
+    grow although it made
+
+        timing            tie               changes
+        async, semi-sync  prec, prec-max    any
+        async, semi-sync  max, random       a non-tie one
+        sync              any               (no check: sync can oscillate)
+
+    As f is at most m, such Prec and Prec-Max runs stop by NO_CHANGE
+    within ``m - f_start + 1`` steps at a labeling labels_locally_maximal
+    accepts, and C1 runs within as many under every tie rule.  C2 stops
+    on a step without changes (period 1) or at the labeling of two steps
+    back (period 2).
 
     The first step evaluates every vertex; each later one only the
     vertices a neighbor's label change or a RANDOM tie left active (see
@@ -489,8 +492,10 @@ def run(
     state = initial_state(graph, config.initial_labels)
     rng = DecisionRng(config.seed)
     active = bytearray(b"\x01") * graph.n
-    history: deque[tuple[int, ...]] = deque([state.labels], maxlen=3)
+    prec_family = config.tie is TieStrategy.PREC or config.tie is TieStrategy.PREC_MAX
+    two_back = None  # for C2: the labeling two steps before the current one
     while state.step < config.step_cap:
+        one_back = state.labels
         if config.timing is TimingModel.SYNCHRONOUS:
             state = sync_step(graph, state, config.tie, rng, active=active)
         elif config.timing is TimingModel.ASYNCHRONOUS:
@@ -498,9 +503,8 @@ def run(
         else:
             state = semi_sync_step(graph, state, coloring, config.tie, rng, active=active)
         non_tie = state.last_changed - state.last_tie_changed
-        if config.timing is TimingModel.SEMI_SYNCHRONOUS:
-            _check_monotone(state, non_tie)
-        history.append(state.labels)
+        if config.timing is not TimingModel.SYNCHRONOUS:
+            _check_monotone(state, state.last_changed if prec_family else non_tie)
 
         reason = None
         if config.stop is StopCriterion.NO_CHANGE:
@@ -509,10 +513,11 @@ def run(
         elif config.stop is StopCriterion.C1:
             if not non_tie:
                 reason = "c1"
-        else:
-            period = check_c2(history)
-            if period:
-                reason = f"c2-period-{period}"
+        elif not state.last_changed:
+            reason = "c2-period-1"
+        elif state.labels == two_back:
+            reason = "c2-period-2"
+        two_back = one_back
         if reason is not None:
             state = replace(state, status=RunStatus.CONVERGED, stop_reason=reason)
             break

@@ -1,12 +1,13 @@
-"""Test-only helpers built on the package: a serializer and a scorer
-input that no program path needs."""
+"""Test-only helpers built on the package: a serializer, and a Partition
+builder that no program path needs and that serves as an extraction
+oracle built another way."""
 
 from __future__ import annotations
 
 from typing import Sequence
 
 from labelprop.graphs import Graph
-from labelprop.partition import Partition, _build_partition
+from labelprop.partition import Community, Partition
 
 
 def dump_edge_list(graph: Graph) -> str:
@@ -30,11 +31,36 @@ def dump_edge_list(graph: Graph) -> str:
 
 
 def partition_from_membership(graph: Graph, community_of: Sequence[int]) -> Partition:
-    """Build a Partition from an explicit vertex -> community mapping.
+    """Build a Partition from an explicit vertex -> group-key mapping.
 
     Unlike extract_communities this does not require the groups to be
-    connected; it scores externally supplied partitions.
+    connected; it scores externally supplied partitions.  Groups are
+    collected in a dict, ordered by their first member, and their edges
+    counted in a second scan of every adjacency list.
     """
     if len(community_of) != graph.n:
         raise ValueError(f"need {graph.n} assignments, got {len(community_of)}")
-    return _build_partition(graph, community_of)
+    members_by_group: dict[int, list[int]] = {}
+    for v in range(graph.n):
+        members_by_group.setdefault(community_of[v], []).append(v)
+    ordered = sorted(members_by_group.values(), key=lambda mem: mem[0])
+
+    index_of = [0] * graph.n
+    for index, members in enumerate(ordered):
+        for v in members:
+            index_of[v] = index
+
+    internal = [0] * len(ordered)
+    degree_sum = [0] * len(ordered)
+    for v in range(graph.n):
+        cv = index_of[v]
+        degree_sum[cv] += len(graph.adjacency[v])
+        for u in graph.adjacency[v]:
+            if u > v and index_of[u] == cv:
+                internal[cv] += 1
+
+    communities = tuple(
+        Community(members=tuple(mem), internal_edges=internal[i], degree_sum=degree_sum[i])
+        for i, mem in enumerate(ordered)
+    )
+    return Partition(communities=communities, community_of=tuple(index_of))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -48,6 +49,24 @@ def set_partitions(n: int) -> Iterable[tuple[int, ...]]:
             yield from rec(prefix + [c], used + (1 if c == used else 0))
 
     yield from rec([0], 1)
+
+
+def same_label_components(adjacency: Sequence[Sequence[int]], labels: Sequence[int]) -> list[int]:
+    """Each vertex's connected component of the same-label edges, named by
+    the vertex a breadth-first search of that component started from."""
+    component = [-1] * len(adjacency)
+    for start in range(len(adjacency)):
+        if component[start] >= 0:
+            continue
+        component[start] = start
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for u in adjacency[v]:
+                if component[u] < 0 and labels[u] == labels[v]:
+                    component[u] = start
+                    queue.append(u)
+    return component
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> list[tuple[int, int]]:

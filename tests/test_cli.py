@@ -343,3 +343,35 @@ def test_load_graph_streams_the_file_like_the_text_loader(tmp_path: Path, name, 
         assert outcome[0].m == (1 if name.endswith(".gml") else 3)
     else:
         assert outcome[1] == error_line
+
+
+def _readme_code_blocks():
+    """README's fenced code blocks as (language, body) pairs."""
+    blocks, language, body = [], None, []
+    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines():
+        if not line.startswith("```"):
+            body.append(line)
+        elif language is None:
+            language, body = line[3:], []
+        else:
+            blocks.append((language, "\n".join(body) + "\n"))
+            language = None
+    return blocks
+
+
+def test_readme_examples_run(capsys, monkeypatch, tmp_path):
+    # the library example and every `labelprop ...` line of the CLI block,
+    # run from tmp_path so that `--out` writes there
+    monkeypatch.chdir(tmp_path)
+    blocks = _readme_code_blocks()
+    (python,) = [body for language, body in blocks if language == "python"]
+    exec(compile(python, "README.md", "exec"), {})
+    modularity, steps, stages = capsys.readouterr().out.split()
+    assert -0.5 <= float(modularity) <= 1 and int(steps) >= 1 and int(stages) >= 1
+    commands = [line.split()[1:] for language, body in blocks if language == ""
+                for line in body.splitlines() if line.startswith("labelprop ")]
+    assert len(commands) == 5
+    for argv in commands:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out
+    assert any((tmp_path / "results").iterdir())

@@ -470,8 +470,9 @@ def test_split_only_spaces_are_every_other_whitespace_character():
     ],
 )
 def test_gml_bulk_read_declines_a_first_block_of_no_flat_shape(block):
-    # A declined first block gives up the whole window, so that blocks of
-    # no flat shape cannot start a bulk read each.
+    # A declined first block with no edge block after it gives up the
+    # whole window, so that blocks of no flat shape cannot start a bulk
+    # read each.
     text = f"graph [ {block} node [ id 7 ] ]"
     start = text.index(block)
     names, ends, ids = [], [], {}
@@ -496,6 +497,20 @@ def _blocks_through_token_code(text):
         mp.setattr(graphs, "_read_run", counted)
         g, report = load_gml(text)
     return g.n + g.m + report.duplicate_edges_dropped + report.self_loops_dropped - sum(read)
+
+
+@pytest.mark.parametrize("gap", [" ", "\n  "])
+def test_gml_declined_node_run_leaves_its_edges_to_the_bulk_read(gap):
+    # Nodes with a nested block decline their run up to the first edge
+    # block, which starts a run of its own, with its bracket on the same
+    # line or the next.
+    nodes = "".join(f" node [ id {v} graphics [ x {v} y 1 ] ]" for v in range(300))
+    edges = "".join(f" edge{gap}[ source {v % 300} target {v * 7 % 300} ]" for v in range(3_000))
+    text = f"graph [{nodes}{edges} ]"
+    start = text.index("node")
+    assert graphs._read_run(text, start, "node", [], [], {}) == (text.index("edge"), None)
+    assert _blocks_through_token_code(text) == 300
+    assert_gml_matches_oracle(text)
 
 
 def test_gml_written_by_networkx_loads_the_same_graph():
@@ -633,6 +648,13 @@ def _late_failing_edges(block=" edge [ source 1 target {} ]"):
             _late_failing_edges(' edge [ label "e" source 1 value 1 target {} color 3 weight 2 ]'),
             "edge references undeclared node 2 (line 1)",
         ),
+        # Nodes of no flat shape, each of which declines its run up to the
+        # edge block start in its own label.
+        (
+            "graph [" + "".join(f' node [ id {v} label "edge [" g [ x 1 ] ]' for v in range(20_000))
+            + " edge [ source 0 target 20000 ] ]",
+            "edge references undeclared node 20000 (line 1)",
+        ),
     ],
     ids=[
         "one long unclosed block",
@@ -642,6 +664,7 @@ def _late_failing_edges(block=" edge [ source 1 target {} ]"):
         "blocks that fail the flat form after three pairs",
         "usual blocks whose every bulk-read window fails at its last block",
         "six-key blocks whose every bulk-read window fails at its last block",
+        "nested nodes that each name an edge block start",
     ],
 )
 def test_gml_flat_blocks_scan_linearly(text, error):

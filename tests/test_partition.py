@@ -1,14 +1,18 @@
+import itertools
 import random
 from fractions import Fraction
+from importlib.util import find_spec
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from labelprop import fixtures
+from labelprop import fixtures, graphs
 from labelprop.graphs import Graph
 from labelprop.partition import extract_communities, modularity, partition_stats
 
 from helpers import partition_from_membership
-from oracles import modularity_bruteforce, random_graph, set_partitions
+from oracles import modularity_bruteforce, random_graph, same_label_components, set_partitions
 
 
 def test_all_distinct_labels_give_singletons():
@@ -54,6 +58,35 @@ def test_extracted_communities_are_connected():
                         seen.add(u)
                         frontier.append(u)
             assert seen == members
+
+
+@st.composite
+def labelled_graphs(draw):
+    """A graph whose edges are drawn few or many, so that isolated
+    vertices are likely, and labels from a few values."""
+    n = draw(st.integers(0, 30))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
+    labels = draw(st.lists(st.integers(0, draw(st.integers(0, 3))), min_size=n, max_size=n))
+    return Graph.from_edges(n, edges), labels
+
+
+@pytest.mark.parametrize("path", [
+    "default",
+    pytest.param("arrays", marks=pytest.mark.skipif(find_spec("numpy") is None, reason="needs numpy")),
+])
+@settings(max_examples=300, deadline=None)
+@given(case=labelled_graphs(), batch=st.sampled_from([1, 3, 1 << 14]))
+def test_extraction_matches_breadth_first_search(path, case, batch):
+    g, labels = case
+    expected = partition_from_membership(g, same_label_components(g.adjacency, labels))
+    with pytest.MonkeyPatch.context() as mp:
+        if path == "arrays":
+            from labelprop import _arrays
+
+            mp.setattr(graphs, "ARRAY_MIN_EDGES", 0)
+            mp.setattr(_arrays, "_BATCH_EDGES", batch)
+        assert extract_communities(g, labels) == expected
 
 
 def test_community_ids_ordered_by_smallest_member():

@@ -21,7 +21,6 @@ from labelprop.propagation import (
     _argmax_labels,
     _pick,
     async_step,
-    check_c2,
     initial_state,
     labels_locally_maximal,
     monochromatic_edge_count,
@@ -297,29 +296,46 @@ def test_run_c1_stops_on_tie_only_changes():
     assert state.last_changed == state.last_tie_changed == {0, 1, 2, 3}
 
 
-def test_check_c2_immediate_repeat():
-    assert check_c2([(1, 1), (1, 1)])
+def test_run_c2_stops_on_an_unchanged_step():
+    g = fixtures.graph("c4")
+    cfg = RunConfig(timing=TimingModel.SYNCHRONOUS, tie=TieStrategy.MAX, stop=StopCriterion.C2,
+                    initial_labels=(5, 5, 5, 5))
+    state, metrics = run(g, cfg)
+    assert (state.status, state.stop_reason, metrics.steps) == (
+        RunStatus.CONVERGED, "c2-period-1", 1
+    )
 
 
-def test_check_c2_period_two_orbit():
-    history = [(3, 2, 3, 2), (2, 3, 2, 3), (3, 2, 3, 2)]
-    assert check_c2(history)
+def test_run_c2_runs_on_while_labelings_differ():
+    # sync max on c4 from distinct labels: (0, 1, 2, 3), (3, 2, 3, 2) and
+    # (2, 3, 2, 3) are three distinct labelings
+    g = fixtures.graph("c4")
+    cfg = RunConfig(timing=TimingModel.SYNCHRONOUS, tie=TieStrategy.MAX, stop=StopCriterion.C2,
+                    step_cap=2)
+    state, metrics = run(g, cfg)
+    assert (state.status, state.stop_reason, metrics.steps) == (
+        RunStatus.CAP_EXCEEDED, "step-cap", 2
+    )
 
 
-def test_check_c2_three_distinct():
-    assert not check_c2([(1, 2), (2, 1), (1, 1)])
-
-
-def test_check_c2_reports_the_period():
-    assert check_c2([(1, 2), (1, 2)]) == 1
-    assert check_c2([(1, 2), (2, 1), (1, 2)]) == 2
-    assert check_c2([(1, 2), (2, 1), (1, 1)]) == 0
-    assert check_c2([(2, 1), (1, 1)]) == 0
-
-
-def test_check_c2_needs_history():
-    with pytest.raises(ValueError):
-        check_c2([(1, 2)])
+@pytest.mark.parametrize(
+    "tie, period, steps", [(TieStrategy.PREC, 2, 8), (TieStrategy.MAX, 1, 6)]
+)
+def test_run_c2_stops_at_the_first_repeat_on_karate(tie, period, steps):
+    g = fixtures.graph("karate")
+    cfg = RunConfig(timing=TimingModel.SYNCHRONOUS, tie=tie, stop=StopCriterion.C2)
+    state, metrics = run(g, cfg)
+    assert (state.stop_reason, metrics.steps) == (f"c2-period-{period}", steps)
+    # replay the labelings with full steps: the last repeats the one
+    # `period` steps back and none repeats one or two steps back before it
+    s = initial_state(g)
+    history = [s.labels]
+    for _ in range(steps):
+        s = sync_step(g, s, tie, DecisionRng(cfg.seed))
+        history.append(s.labels)
+    assert state.labels == history[-1]
+    assert history[-1] == history[-1 - period] and (period == 1 or history[-1] != history[-2])
+    assert not any(history[i] in history[max(0, i - 2):i] for i in range(1, steps))
 
 
 # --- monochromatic edge count -------------------------------------------------
@@ -640,6 +656,46 @@ def test_run_matches_reference(case, timing, tie, stop, seed, cap):
         ref["steps"], ref["stages"], ref["f_start"], ref["f_trace"],
         ref["status"], ref["stop_reason"],
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    propagation_cases(),
+    st.sampled_from([TimingModel.ASYNCHRONOUS, TimingModel.SEMI_SYNCHRONOUS]),
+    st.sampled_from([TieStrategy.PREC, TieStrategy.PREC_MAX]),
+    st.integers(0, 2**63),
+)
+def test_prec_family_converges_within_the_theorem_bound(case, timing, tie, seed):
+    # every change raises f, which is at most m, and run checks each step
+    g, init, order = case
+    coloring = greedy_color(g, order) if timing is TimingModel.SEMI_SYNCHRONOUS else None
+    bound = g.m - monochromatic_edge_count(g, init) + 1
+    cfg = RunConfig(timing=timing, tie=tie, stop=StopCriterion.NO_CHANGE, seed=seed,
+                    step_cap=bound, initial_labels=init)
+    state, metrics = run(g, cfg, coloring)
+    assert (state.status, state.stop_reason) == (RunStatus.CONVERGED, "no-change")
+    assert labels_locally_maximal(g, state.labels)
+
+
+@pytest.mark.parametrize("timing", [TimingModel.ASYNCHRONOUS, TimingModel.SEMI_SYNCHRONOUS])
+def test_run_raises_when_prec_max_leaves_a_maximal_label(monkeypatch, timing):
+    # a Prec-Max that moves from a maximal label to a larger one can leave
+    # f flat on a changing step; run must refuse it
+    pick = propagation._pick
+
+    def largest(cands, current, tie, stream):
+        return cands[-1] if tie is TieStrategy.PREC_MAX else pick(cands, current, tie, stream)
+
+    monkeypatch.setattr(propagation, "_pick", largest)
+    g = fixtures.graph("karate")
+    rnd = random.Random(0)
+    with pytest.raises(MonotoneViolation):
+        for seed in range(200):
+            init = list(range(g.n))
+            rnd.shuffle(init)
+            coloring = color_from_labels(g, init) if timing is TimingModel.SEMI_SYNCHRONOUS else None
+            run(g, RunConfig(timing=timing, tie=TieStrategy.PREC_MAX, stop=StopCriterion.NO_CHANGE,
+                             seed=seed, initial_labels=tuple(init)), coloring)
 
 
 @settings(max_examples=200, deadline=None)
