@@ -6,10 +6,10 @@ pure-Python counterpart that smaller graphs and installs without numpy
 run, and that the tests use as its reference: ``assemble`` builds a
 loader's adjacency (``graphs._assemble``), ``step`` is one synchronous or
 semi-synchronous step (``propagation._sweep``),
-``monochromatic_edge_count`` counts the edges whose endpoints share a
-label (the f count of propagation and the edge check of
-``Coloring.check_proper``), and ``communities`` groups the vertices
-into communities by the same union-find scheme, in rounds
+``same_label_edges`` lists the edges whose endpoints share a label
+(``graphs.same_label_edges``, which the f count, the coloring check and
+extraction read), and ``communities`` groups the vertices into the
+components of those edges by the same union-find scheme, in rounds
 (``partition.extract_communities``).  Every pass takes the CSR rows in
 batches of about ``_BATCH_EDGES`` entries (``_rows``), so its temporary
 arrays stay small whatever the graph's size.
@@ -33,8 +33,9 @@ maximal) draw in Python from the same ``rng.tie_stream(step, stage,
 vertex)`` over the same sorted candidates as the pure sweep, so every
 tie rule gives the sweep's labels, change sets and f, bit for bit.
 
-Labels beyond int64, or not integers, do not fit the arrays: the label
-passes then return None and their callers run the Python loop.
+Labels are an int64 array when they are all integers within int64, and
+an object array otherwise, whose comparisons and ``np.unique`` run on
+the Python objects: every pass takes any labeling the Python loops take.
 Importing this module imports numpy.
 """
 
@@ -105,69 +106,67 @@ def assemble(
     return tuple(adjacency), self_loops, (indptr, indices)
 
 
-def _label_array(labels: Sequence[int]) -> "np.ndarray | None":
-    """The labels as an int64 array; None unless they are all integers
-    within int64 (numpy would cast a float label to an integer)."""
+def _label_array(labels: Sequence) -> np.ndarray:
+    """The labels as an int64 array when they are all integers within
+    int64, else as an array of the label objects (numpy would cast a
+    float label, or one beyond int64, to a float)."""
     lab = np.asarray(labels)
-    return lab.astype(np.int64, copy=False) if lab.dtype.kind == "i" else None
+    if lab.dtype.kind == "i":
+        return lab.astype(np.int64, copy=False)
+    return np.fromiter(labels, object, len(labels))
 
 
-def monochromatic_edge_count(graph: Graph, labels: Sequence[int]) -> "int | None":
-    """Number of edges whose endpoints share a label; None when a label
-    is not an integer within int64.  Each such edge is seen from both of
-    its ends."""
+def same_label_edges(graph: Graph, labels: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """The edges whose endpoints share a label, once each: their lower
+    and higher ends as int32 arrays, ordered by lower end, then higher
+    end.  A batch without an equal pair, the usual case under identity
+    labels and proper colorings, costs one comparison."""
     lab = _label_array(labels)
-    if lab is None:
-        return None
     indptr, indices = graph.csr
-    twice = 0
+    # filled in place: concatenating per-batch pieces would hold two copies
+    lower, upper = np.empty(graph.m, np.int32), np.empty(graph.m, np.int32)
+    size = 0
     for batch, owner, neighbor in _rows(indptr, indices, np.arange(graph.n, dtype=np.int32)):
-        twice += int(np.count_nonzero(lab[batch][owner] == lab[neighbor]))
-    return twice // 2
+        same = lab[batch][owner] == lab[neighbor]  # each such edge twice, once from each end
+        if same.any():
+            v = batch[owner]
+            same &= neighbor > v
+            k = int(np.count_nonzero(same))
+            lower[size:size + k], upper[size:size + k] = v[same], neighbor[same]
+            size += k
+    return lower[:size], upper[:size]
 
 
 def communities(
-    graph: Graph, labels: Sequence[int]
-) -> "tuple[list[int], list[tuple[int, ...]], list[int], list[int]] | None":
-    """The connected components of the same-label edges, numbered in
-    order of their smallest vertex: each vertex's community index, and per
+    graph: Graph, lower: np.ndarray, upper: np.ndarray
+) -> tuple[list[int], list[tuple[int, ...]], list[int], list[int]]:
+    """The connected components of the edges `lower`-`upper` (the
+    same-label edges, as same_label_edges lists them), numbered in order
+    of their smallest vertex: each vertex's community index, and per
     community its members in order, internal edge count and degree sum.
-    None when a label is not an integer within int64.
 
-    The same-label edges are listed once.  Every vertex points at its
-    root, a vertex of its tree no larger than itself, and starts as its
-    own.  A round takes the listed edges whose endpoints' roots differ,
-    hooks each such pair's larger root under the smallest root it meets
-    (np.minimum.at), then points every vertex at its root by pointer
-    jumping to a fixed point; a round without such an edge ends the loop,
-    and each root is then its component's minimum.  A root that another
-    root hooked under this round has gained a vertex; one that neither
-    hooked nor gained meets only smaller roots next round and hooks then.
-    So the roots that still meet another root at least halve every two
-    rounds: at most 2 * log2(n) rounds, each one batched pass over the
-    listed edges and at most log2(n) + 1 jumps.  The internal edges of a
-    community are exactly its same-label edges, as its vertices share one
-    label, so each is counted at its lower end, as in the Python loop.
+    Every vertex points at its root, a vertex of its tree no larger than
+    itself, and starts as its own.  A round takes the edges whose
+    endpoints' roots differ, hooks each such pair's larger root under the
+    smallest root it meets (np.minimum.at), then points every vertex at
+    its root by pointer jumping to a fixed point; a round without such an
+    edge ends the loop, and each root is then its component's minimum.  A
+    root that another root hooked under this round has gained a vertex;
+    one that neither hooked nor gained meets only smaller roots next
+    round and hooks then.  So the roots that still meet another root at
+    least halve every two rounds: at most 2 * log2(n) rounds, each one
+    batched pass over the edges and at most log2(n) + 1 jumps.  The
+    internal edges of a community are exactly its same-label edges, as
+    its vertices share one label, so each is counted at its lower end, as
+    in the Python loop.
     """
-    lab = _label_array(labels)
-    if lab is None:
-        return None
     n = graph.n
-    indptr, indices = graph.csr
-    first, second = np.empty(graph.m, np.int32), np.empty(graph.m, np.int32)
-    size = 0
-    for batch, owner, neighbor in _rows(indptr, indices, np.arange(n, dtype=np.int32)):
-        v = batch[owner]
-        same = (neighbor > v) & (lab[v] == lab[neighbor])
-        k = int(np.count_nonzero(same))
-        first[size:size + k], second[size:size + k] = v[same], neighbor[same]
-        size += k
-    first, second = first[:size], second[:size]
+    indptr = graph.csr[0]
     root = np.arange(n, dtype=np.int32)
     while True:
         start = root.copy()  # the round reads the roots as of its start
-        for lo in range(0, size, _BATCH_EDGES):
-            ra, rb = start[first[lo:lo + _BATCH_EDGES]], start[second[lo:lo + _BATCH_EDGES]]
+        for lo in range(0, len(lower), _BATCH_EDGES):
+            ra, rb = start[lower[lo:lo + _BATCH_EDGES]], start[upper[lo:lo + _BATCH_EDGES]]
             apart = ra != rb
             ra, rb = ra[apart], rb[apart]
             np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
@@ -181,7 +180,7 @@ def communities(
     is_root = root == np.arange(n, dtype=np.int32)
     community_of = (np.cumsum(is_root) - 1)[root]
     count = int(np.count_nonzero(is_root))
-    same = np.bincount(first, minlength=n)  # same-label edges, each at its lower end
+    same = np.bincount(lower, minlength=n)  # same-label edges, each at its lower end
     internal = np.bincount(community_of, weights=same, minlength=count).astype(np.int64)
     degree_sum = np.bincount(community_of, weights=np.diff(indptr), minlength=count).astype(np.int64)
     order = np.argsort(community_of, kind="stable").tolist()
@@ -218,18 +217,14 @@ def step(
     rng: DecisionRng,
     step_no: int,
     active: bytearray,
-) -> "tuple[tuple[int, ...], int, set[int], set[int]] | None":
+) -> tuple[tuple[int, ...], int, set[int], set[int]]:
     """One step over `stages` (vertex groups updated one after another).
 
     Returns the new labels, the change of the monochromatic-edge count,
-    the changed vertices and those of them that changed on a tie; or None
-    when a label is not an integer within int64, leaving `active`
-    untouched.  `active` is updated as the sweep updates it.
+    the changed vertices and those of them that changed on a tie.
+    `active` is updated as the sweep updates it.
     """
-    lab = _label_array(labels)
-    if lab is None:
-        return None
-    values, inverse = np.unique(lab, return_inverse=True)
+    values, inverse = np.unique(_label_array(labels), return_inverse=True)
     cur = inverse.astype(np.int32)  # label ranks; a step adopts no label it did not start with
     width = len(values)
     indptr, indices = graph.csr

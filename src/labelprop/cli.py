@@ -60,18 +60,9 @@ def load_graph(ref: str) -> tuple[Graph, LoadReport, str]:
     return graph, report, path.name
 
 
-def _report_dict(report: LoadReport) -> dict:
-    return {
-        "self_loops_dropped": report.self_loops_dropped,
-        "duplicate_edges_dropped": report.duplicate_edges_dropped,
-        "symmetrized": report.symmetrized,
-        "weights_ignored": report.weights_ignored,
-    }
-
-
 def _note_report(report: LoadReport) -> None:
     """Tell stderr what loading a graph normalized away, if anything."""
-    dropped = {k: v for k, v in _report_dict(report).items() if v}
+    dropped = {k: v for k, v in dataclasses.asdict(report).items() if v}
     if dropped:
         fields = " ".join(f"{k}={json.dumps(v)}" for k, v in dropped.items())
         print(f"note: load report: {fields}", file=sys.stderr)
@@ -272,7 +263,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
             "m": graph.m,
             "max_degree": graph.max_degree(),
             "components": components,
-            "report": _report_dict(report),
+            "report": dataclasses.asdict(report),
         }
         _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     elif args.format == "csv":
@@ -282,10 +273,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
             ("m", graph.m),
             ("max_degree", graph.max_degree()),
             ("components", components),
-            ("self_loops_dropped", report.self_loops_dropped),
-            ("duplicate_edges_dropped", report.duplicate_edges_dropped),
-            ("symmetrized", str(report.symmetrized).lower()),
-            ("weights_ignored", str(report.weights_ignored).lower()),
+            *((k, str(v).lower()) for k, v in dataclasses.asdict(report).items()),
         ]
         _emit("\n".join(f"{k},{v}" for k, v in rows) + "\n")
     else:  # plot-data: per-vertex degrees, ready for a histogram

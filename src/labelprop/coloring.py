@@ -5,17 +5,16 @@ edge; the class list order is the stage order used by the staged
 (semi-synchronous) propagation model.  Greedy coloring over any vertex
 permutation needs at most ``max_degree + 1`` colors.
 
-Checking a coloring looks at every edge; on graphs of at least
-``graphs.ARRAY_MIN_EDGES`` edges, with numpy installed, that scan is one
-array count of monochromatic edges, and the Python scan runs only to
-name the first such edge.
+Checking a coloring lists its monochromatic edges
+(``graphs.same_label_edges``, in numpy on large graphs) and names the
+first one, if any.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, _arrays_for
+from .graphs import Graph, same_label_edges
 
 
 @dataclass(frozen=True)
@@ -49,14 +48,9 @@ class Coloring:
                 seen[v] = True
         if not all(seen):
             raise ValueError("classes do not cover all vertices")
-        arrays = _arrays_for(graph.m)
-        if arrays is not None and arrays.monochromatic_edge_count(graph, self.color_of) == 0:
-            return
-        for v in range(n):
-            cv = self.color_of[v]
-            for u in graph.adjacency[v]:
-                if self.color_of[u] == cv:
-                    raise ValueError(f"edge {{{u}, {v}}} is monochromatic under the coloring")
+        lower, upper = same_label_edges(graph, self.color_of)
+        if len(lower):
+            raise ValueError(f"edge {{{upper[0]}, {lower[0]}}} is monochromatic under the coloring")
 
 
 def _check_permutation(order: "list[int] | tuple[int, ...]", n: int, what: str) -> None:

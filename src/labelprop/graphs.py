@@ -53,13 +53,13 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterator, NoReturn, TextIO
+from typing import Iterator, NoReturn, Sequence, TextIO
 
 # Passes over every edge of a graph with at least this many edges run in
 # numpy, in the _arrays module, when numpy is installed: the adjacency's
 # assembly at load (counted in edge lines, as m is not known before
 # deduplication), the synchronous and semi-synchronous propagation steps,
-# the monochromatic-edge count, the coloring's edge check and community
+# the list of same-label edges (same_label_edges) and community
 # extraction.  Below it the arrays' saving does not repay importing numpy
 # (about 0.16 s and 10-14 MiB): at 150k edges a fresh-process `run` took
 # the same time either way under sync Max, which stops after one step,
@@ -78,6 +78,30 @@ def _arrays_for(size: int):
     except ModuleNotFoundError:
         return None
     return _arrays
+
+
+def same_label_edges(graph: Graph, labels: Sequence) -> tuple[Sequence[int], Sequence[int]]:
+    """The edges whose two ends hold equal labels, once each, as two
+    parallel sequences of their lower and higher ends, ordered by lower
+    end, then higher end.
+
+    Their number is the monochromatic-edge count f, a coloring is proper
+    when it has none, and their connected components are the
+    communities.  Large graphs list them in numpy
+    (``_arrays.same_label_edges``), as int32 arrays.
+    """
+    arrays = _arrays_for(graph.m)
+    if arrays is not None:
+        return arrays.same_label_edges(graph, labels)
+    lower: list[int] = []
+    upper: list[int] = []
+    for v, neigh in enumerate(graph.adjacency):
+        lv = labels[v]
+        for u in neigh:
+            if u > v and labels[u] == lv:
+                lower.append(v)
+                upper.append(u)
+    return lower, upper
 
 
 class GraphParseError(ValueError):

@@ -1,10 +1,13 @@
 """Seeded repeated-trial experiments over (timing, network, tie) settings.
 
-A trial randomizes the initial labeling, runs propagation to the
-tie-aware fixed point, extracts communities, and scores them.  One
-hundred independent trials per setting (the protocol's default) give the
-mean/deviation aggregates used to compare quality, timing, and stability
-across configurations.
+A trial randomizes the initial labeling, runs propagation until stop
+criterion C1 fires (no non-tie change in the last step), extracts
+communities, and scores them.  C1 trusts each update's own tie flag, so
+it can stop at a labeling that labels_locally_maximal rejects: 8 of the
+400 seeded karate trials of the bench's karate-sweep workload do (see
+StopCriterion).  One hundred independent trials per setting (the
+protocol's default) give the mean/deviation aggregates used to compare
+quality, timing, and stability across configurations.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ communities.  Quality is the usual modularity: the observed fraction of
 intra-community edges minus its expectation under a degree-preserving
 random null model.
 
-Extraction is a union-find with one scheme on both of its paths.  A
+Extraction is a union-find over the same-label edges
+(``graphs.same_label_edges``), with one scheme on both of its paths.  A
 union hooks the larger root under the smaller, so every parent is no
 larger than its child and each root is its component's smallest vertex.
 Each same-label edge, internal as a community shares one label, counts
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph, _arrays_for
+from .graphs import Graph, _arrays_for, same_label_edges
 
 
 @dataclass(frozen=True)
@@ -72,14 +73,11 @@ def extract_communities(graph: Graph, labels: Sequence[int]) -> Partition:
     """Connected components of the subgraph induced by same-label edges."""
     if len(labels) != graph.n:
         raise ValueError(f"need {graph.n} labels, got {len(labels)}")
+    lower, upper = same_label_edges(graph, labels)
     arrays = _arrays_for(graph.m)
     if arrays is not None:
-        found = arrays.communities(graph, labels)
-        if found is not None:
-            return _partition(*found)
-    adjacency = graph.adjacency
+        return _partition(*arrays.communities(graph, lower, upper))
     parent = list(range(graph.n))
-    same = [0] * graph.n  # same-label edges, each at its lower end
 
     def find(v: int) -> int:
         root = v
@@ -89,16 +87,12 @@ def extract_communities(graph: Graph, labels: Sequence[int]) -> Partition:
             parent[v], v = root, parent[v]
         return root
 
-    for v, neigh in enumerate(adjacency):
-        lv = labels[v]
-        for u in neigh:
-            if u > v and labels[u] == lv:
-                same[v] += 1
-                ru, rv = find(u), find(v)
-                if ru > rv:
-                    parent[ru] = rv
-                elif ru < rv:
-                    parent[rv] = ru
+    for v, u in zip(lower, upper):
+        ru, rv = find(u), find(v)
+        if ru > rv:
+            parent[ru] = rv
+        elif ru < rv:
+            parent[rv] = ru
     community_of: list[int] = []
     members: list[list[int]] = []
     for v, p in enumerate(parent):
@@ -108,7 +102,10 @@ def extract_communities(graph: Graph, labels: Sequence[int]) -> Partition:
         else:  # p < v, numbered already
             community_of.append(community_of[p])
             members[community_of[p]].append(v)
-    internal = [sum(same[v] for v in mem) for mem in members]
+    internal = [0] * len(members)
+    for v in lower:  # a same-label edge, counted at its lower end
+        internal[community_of[v]] += 1
+    adjacency = graph.adjacency
     degree_sum = [sum(len(adjacency[v]) for v in mem) for mem in members]
     return _partition(community_of, [tuple(mem) for mem in members], internal, degree_sum)
 

@@ -37,10 +37,11 @@ On graphs of at least graphs.ARRAY_MIN_EDGES edges, with numpy
 installed, the synchronous and semi-synchronous steps run in the array
 kernel of the _arrays module instead of the sweep: the same labels,
 change sets, f and tie-stream draws, with each stage counted and
-resolved at once.  The initial f count and run's coloring check go to
-arrays on the same graphs.  Async steps, smaller graphs, installs
-without numpy and labels that are not integers within int64 run the
-Python loops, which the tests use as the arrays' reference.
+resolved at once, whatever the labels.  The initial f count and run's
+coloring check read the list of same-label edges
+(graphs.same_label_edges), which is built in numpy on the same graphs.
+Async steps, smaller graphs and installs without numpy run the Python
+loops, which the tests use as the arrays' reference.
 
 Nothing re-checks the update rule at run time: the tests check that every
 update adopts a maximal neighbor label, against the reference step code
@@ -57,7 +58,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .coloring import Coloring
-from .graphs import Graph, _arrays_for
+from .graphs import Graph, _arrays_for, same_label_edges
 from .rng import Stream, mix64
 
 _TAG_TIE = 0x1
@@ -166,19 +167,8 @@ class DecisionRng:
 
 
 def monochromatic_edge_count(graph: Graph, labels: Sequence[int]) -> int:
-    """Number of edges whose endpoints share a label (in numpy on large graphs)."""
-    arrays = _arrays_for(graph.m)
-    if arrays is not None:
-        count = arrays.monochromatic_edge_count(graph, labels)
-        if count is not None:
-            return count
-    count = 0
-    for v, neigh in enumerate(graph.adjacency):
-        lv = labels[v]
-        for u in neigh:
-            if u > v and labels[u] == lv:
-                count += 1
-    return count
+    """Number of edges whose endpoints share a label (see graphs.same_label_edges)."""
+    return len(same_label_edges(graph, labels)[0])
 
 
 def neighbor_frequencies(graph: Graph, v: int, labels: Sequence[int]) -> dict[int, int]:
@@ -302,15 +292,14 @@ def _array_step(
     active: "bytearray | None",
 ) -> "LabelState | None":
     """The step by the array kernel (see _arrays), where it applies: a
-    graph of at least ARRAY_MIN_EDGES edges, numpy installed and every
-    label an integer within int64.  Otherwise None, and the caller sweeps."""
+    graph of at least ARRAY_MIN_EDGES edges and numpy installed.
+    Otherwise None, and the caller sweeps."""
     arrays = _arrays_for(graph.m)
     if arrays is None:
         return None
     if active is None:
         active = bytearray(b"\x01") * graph.n
-    stepped = arrays.step(graph, state.labels, stages, tie, rng, state.step + 1, active)
-    return None if stepped is None else _next_state(state, *stepped)
+    return _next_state(state, *arrays.step(graph, state.labels, stages, tie, rng, state.step + 1, active))
 
 
 def sync_step(
@@ -419,7 +408,12 @@ def initial_state(graph: Graph, labels: "Sequence[int] | None" = None) -> LabelS
 
 def stage_count(timing: TimingModel, steps: int, n: int, num_colors: "int | None" = None) -> int:
     """Stages executed by a completed run: one stage is one atomic batch
-    of simultaneous updates (a color class, a single vertex, or all of V)."""
+    of simultaneous updates (a color class, a single vertex, or all of V).
+
+    This counts batches, not dependency depth.  An async step has n
+    stages, but its longest chain of updates that read one another is
+    about 50 on a 20,000-vertex planted partition and 6-10 on karate.
+    """
     if timing is TimingModel.SEMI_SYNCHRONOUS:
         if num_colors is None:
             raise ValueError("semi-synchronous stage accounting needs the color count")

@@ -69,6 +69,13 @@ def same_label_components(adjacency: Sequence[Sequence[int]], labels: Sequence[i
     return component
 
 
+def same_label_edges_bruteforce(adjacency: Sequence[Sequence[int]], labels: Sequence) -> list[tuple[int, int]]:
+    """Every adjacent pair (v, u) with v < u and equal labels, sorted."""
+    return sorted(
+        (v, u) for v, u in combinations(range(len(adjacency)), 2) if u in adjacency[v] and labels[u] == labels[v]
+    )
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> list[tuple[int, int]]:
     """Seeded Erdos-Renyi edge list on dense vertex ids."""
     return [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]

@@ -2,8 +2,9 @@
 
 Graphs of at least graphs.ARRAY_MIN_EDGES edges (edge lines, for a
 loader) take the array versions of the loaders' assembly, the sync and
-semi-sync steps, the monochromatic-edge count, the coloring's edge check
-and community extraction; the tests move that threshold to pick the
+semi-sync steps, the list of same-label edges (which the f count, the
+coloring's edge check and community extraction read) and extraction's
+union-find; the tests move that threshold to pick the
 path, and shrink the batches to a few edges so that a pass spans several
 of them.
 """
@@ -44,11 +45,6 @@ from oracles import random_graph
 from strategies import edge_list_documents, edge_list_graphs, gml_documents
 
 STAGED_TIMINGS = [TimingModel.SYNCHRONOUS, TimingModel.SEMI_SYNCHRONOUS]
-
-
-def _int64(labels):
-    """Whether the array passes take these labels: integers within int64."""
-    return all(type(label) is int and label < 2**63 for label in labels)
 
 
 @st.composite
@@ -109,13 +105,12 @@ def test_kernel_matches_sweep(case, timing, tie, stop, seed, cap, batch):
         draws[step, stage, vertex] += 1
         return tie_stream(self, step, stage, vertex)
 
-    kernel_ran = []
+    kernel_steps = []
     kernel_step = _arrays.step
 
     def counted_step(*args):
-        stepped = kernel_step(*args)
-        kernel_ran.append(stepped is not None)
-        return stepped
+        kernel_steps.append(args[5])
+        return kernel_step(*args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(DecisionRng, "tie_stream", counted_draw)
@@ -129,11 +124,8 @@ def test_kernel_matches_sweep(case, timing, tie, stop, seed, cap, batch):
         arrayed = _outcome(*run(g, cfg, coloring))
     assert arrayed == swept
     assert draws == swept_draws
-    assert len(kernel_ran) == swept[1]
-    if _int64(init):
-        assert all(kernel_ran)
-    else:  # beyond int64: the sweep takes at least the first step
-        assert not kernel_ran[0]
+    # the kernel takes every step, a label beyond int64 included
+    assert kernel_steps == list(range(1, swept[1] + 1))
 
 
 def test_kernel_matches_sweep_on_a_graph_above_the_batch_size():
@@ -250,13 +242,12 @@ def _label_passes(g, labels, order):
 def test_label_passes_match_python(case, batch):
     g, labels, order = case
     ran = []
-    originals = {name: getattr(_arrays, name) for name in ("monochromatic_edge_count", "communities")}
+    originals = {name: getattr(_arrays, name) for name in ("same_label_edges", "communities")}
 
     def recorded(name):
         def call(*args):
-            result = originals[name](*args)
-            ran.append((name, result is not None))
-            return result
+            ran.append(name)
+            return originals[name](*args)
         return call
 
     with pytest.MonkeyPatch.context() as mp:
@@ -264,16 +255,8 @@ def test_label_passes_match_python(case, batch):
             mp.setattr(_arrays, name, recorded(name))
         python, arrayed = _python_then_arrays(_label_passes, g, labels, order, batch=batch)
     assert arrayed == python
-    fits = _int64(labels)
-    # both coloring checks, the f count, then extraction; labels beyond
-    # int64 or not integers send the label passes to Python, never the
-    # coloring checks
-    assert ran == [
-        ("monochromatic_edge_count", True),
-        ("monochromatic_edge_count", True),
-        ("monochromatic_edge_count", fits),
-        ("communities", fits),
-    ]
+    # both coloring checks, the f count, then extraction, whatever the labels
+    assert ran == ["same_label_edges"] * 4 + ["communities"]
     by_label_check = python[2][1]
     if python[0]:  # a monochromatic edge, which the check names exactly on both paths
         assert re.fullmatch(r"edge \{\d+, \d+\} is monochromatic under the coloring", by_label_check)

@@ -235,6 +235,49 @@ def test_info_csv_format(capsys):
     assert "n,3" in out.splitlines()
 
 
+INFO_GML = """graph [
+  directed 1
+  node [ id 1 ]
+  node [ id 2 ]
+  node [ id 3 ]
+  edge [ source 1 target 2 weight 2 ]
+  edge [ source 2 target 1 ]
+  edge [ source 2 target 3 ]
+  edge [ source 3 target 3 ]
+]
+"""
+
+
+def test_info_prints_the_load_report_exactly(capsys, tmp_path: Path):
+    # a directed, weighted file with a self-loop and a duplicate edge sets
+    # every field of the load report
+    path = tmp_path / "report.gml"
+    path.write_text(INFO_GML)
+    note = ("note: load report: self_loops_dropped=1 duplicate_edges_dropped=1 "
+            "symmetrized=true weights_ignored=true\n")
+    assert run_cli(capsys, "info", str(path)) == (0, (
+        "{\n"
+        '  "components": 1,\n'
+        '  "m": 2,\n'
+        '  "max_degree": 2,\n'
+        '  "n": 3,\n'
+        '  "name": "report.gml",\n'
+        '  "report": {\n'
+        '    "duplicate_edges_dropped": 1,\n'
+        '    "self_loops_dropped": 1,\n'
+        '    "symmetrized": true,\n'
+        '    "weights_ignored": true\n'
+        "  }\n"
+        "}\n"
+    ), "")
+    assert run_cli(capsys, "info", str(path), "--format", "csv") == (0, (
+        "name,report.gml\nn,3\nm,2\nmax_degree,2\ncomponents,1\n"
+        "self_loops_dropped,1\nduplicate_edges_dropped,1\nsymmetrized,true\nweights_ignored,true\n"
+    ), "")
+    code, _, err = run_cli(capsys, "run", str(path), "--timing", "async", "--tie", "prec-max")
+    assert (code, err) == (0, note)
+
+
 def test_run_coloring_out(capsys, tmp_path: Path):
     target = tmp_path / "stages.csv"
     code, _, _ = run_cli(capsys, "run", "c4", "--timing", "semi-sync", "--tie", "max",

@@ -8,11 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelprop import fixtures, graphs
-from labelprop.graphs import Graph
+from labelprop.graphs import Graph, same_label_edges
 from labelprop.partition import extract_communities, modularity, partition_stats
 
 from helpers import partition_from_membership
-from oracles import modularity_bruteforce, random_graph, same_label_components, set_partitions
+from oracles import (
+    modularity_bruteforce,
+    random_graph,
+    same_label_components,
+    same_label_edges_bruteforce,
+    set_partitions,
+)
 
 
 def test_all_distinct_labels_give_singletons():
@@ -63,29 +69,53 @@ def test_extracted_communities_are_connected():
 @st.composite
 def labelled_graphs(draw):
     """A graph whose edges are drawn few or many, so that isolated
-    vertices are likely, and labels from a few values."""
+    vertices are likely, and labels from a few values, now and then with
+    one beyond int64 or one that is not an integer."""
     n = draw(st.integers(0, 30))
     pairs = list(itertools.combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
     labels = draw(st.lists(st.integers(0, draw(st.integers(0, 3))), min_size=n, max_size=n))
+    odd = draw(st.sampled_from([None, 2**63 + 1, 2**70, 1.0, 0.5, "a"]))
+    if n and odd is not None:
+        labels[draw(st.integers(0, n - 1))] = odd
     return Graph.from_edges(n, edges), labels
 
 
-@pytest.mark.parametrize("path", [
+ARRAY_PATHS = [
     "default",
     pytest.param("arrays", marks=pytest.mark.skipif(find_spec("numpy") is None, reason="needs numpy")),
-])
+]
+
+
+def _path(mp, path, batch):
+    """Send the passes to `path`: the default, or the arrays at batches of `batch` edges."""
+    if path == "arrays":
+        from labelprop import _arrays
+
+        mp.setattr(graphs, "ARRAY_MIN_EDGES", 0)
+        mp.setattr(_arrays, "_BATCH_EDGES", batch)
+
+
+@pytest.mark.parametrize("path", ARRAY_PATHS)
+@settings(max_examples=300, deadline=None)
+@given(case=labelled_graphs(), batch=st.sampled_from([1, 3, 1 << 14]))
+def test_same_label_edges_match_brute_force(path, case, batch):
+    g, labels = case
+    with pytest.MonkeyPatch.context() as mp:
+        _path(mp, path, batch)
+        lower, upper = same_label_edges(g, labels)
+    assert len(lower) == len(upper)
+    assert [(int(v), int(u)) for v, u in zip(lower, upper)] == same_label_edges_bruteforce(g.adjacency, labels)
+
+
+@pytest.mark.parametrize("path", ARRAY_PATHS)
 @settings(max_examples=300, deadline=None)
 @given(case=labelled_graphs(), batch=st.sampled_from([1, 3, 1 << 14]))
 def test_extraction_matches_breadth_first_search(path, case, batch):
     g, labels = case
     expected = partition_from_membership(g, same_label_components(g.adjacency, labels))
     with pytest.MonkeyPatch.context() as mp:
-        if path == "arrays":
-            from labelprop import _arrays
-
-            mp.setattr(graphs, "ARRAY_MIN_EDGES", 0)
-            mp.setattr(_arrays, "_BATCH_EDGES", batch)
+        _path(mp, path, batch)
         assert extract_communities(g, labels) == expected
 
 
