@@ -5,7 +5,8 @@
 pure-Python counterpart that smaller graphs and installs without numpy
 run, and that the tests use as its reference: ``assemble`` builds a
 loader's adjacency (``graphs._assemble``), ``step`` is one synchronous or
-semi-synchronous step (``propagation._sweep``),
+semi-synchronous step (``propagation._sweep``, which takes the same
+arguments and returns the same tuple),
 ``same_label_edges`` lists the edges whose endpoints share a label
 (``graphs.same_label_edges``, which the f count, the coloring check and
 extraction read), and ``communities`` groups the vertices into the

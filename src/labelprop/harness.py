@@ -61,8 +61,11 @@ class TestSetting:
             raise ValueError("trials must be at least 1")
 
     def resolve_network(self) -> tuple[Graph, str]:
-        """Return (graph, display name), loading files/fixtures lazily."""
+        """Return (graph, display name), loading files/fixtures lazily and
+        refusing a graph with no vertices, as the loaders refuse empty files."""
         if isinstance(self.network, Graph):
+            if not self.network.n:
+                raise ValueError("an experiment needs a graph with vertices; this one has none")
             return self.network, f"graph<n={self.network.n}>"
         from .cli import load_graph  # cli imports this module
 

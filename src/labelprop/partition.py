@@ -128,4 +128,4 @@ def modularity(graph: Graph, partition: Partition) -> float:
 
 def partition_stats(partition: Partition) -> PartitionStats:
     sizes = tuple(c.size for c in partition.communities)
-    return PartitionStats(count=len(sizes), largest=max(sizes), sizes=sizes)
+    return PartitionStats(count=len(sizes), largest=max(sizes, default=0), sizes=sizes)

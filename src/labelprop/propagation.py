@@ -1,26 +1,26 @@
 """Label propagation: update rule, timing models, tie handling, stopping.
 
 Each vertex repeatedly adopts a most frequent label among its neighbors;
-connected groups that reach label consensus become communities.  Three
-timing models control when updates become visible:
+connected groups that reach label consensus become communities.  A step
+runs a list of stages one after another.  Every update of a stage reads
+the labels as of the stage's start, and the stage's changes take effect
+when it ends.  The three timing models differ only in their stages:
 
-* synchronous: every vertex updates from the previous step's labels;
-* asynchronous: vertices update one at a time in a per-step random
-  permutation, reading current labels;
-* semi-synchronous: a proper coloring partitions the vertices into
-  stages; each stage updates simultaneously, stages run in ascending
-  color order within a step.
+* synchronous: one stage of all the vertices, which so read the
+  previous step's labels;
+* asynchronous: one stage per vertex, in a per-step random permutation,
+  so each update reads the labels the earlier ones left;
+* semi-synchronous: one stage per class of a proper coloring, in
+  ascending color order.
 
 Ties (several labels sharing the maximum neighbor count) are resolved by
 one of four strategies: uniform random, keep-current-if-maximal (Prec),
 highest label value (Max), or Prec then Max.
 
-All three models run the same sweep over (stage, vertex) pairs; they
-differ only in when an update becomes visible.  Randomized decisions
-draw from per-decision streams derived from ``(seed, step, stage,
-vertex)``, so results never depend on the order in which the updates of
-one stage are executed: any within-stage order gives bit-identical
-labels.
+Randomized decisions draw from per-decision streams derived from
+``(seed, step, stage, vertex)``, and a stage reads only the labels of its
+start, so results never depend on the order in which the updates of one
+stage are executed: any within-stage order gives bit-identical labels.
 
 Within run, a step re-evaluates only the active vertices: those with a
 neighbor whose label changed since they were last evaluated, plus those
@@ -35,13 +35,13 @@ rather than recounted.
 
 On graphs of at least graphs.ARRAY_MIN_EDGES edges, with numpy
 installed, the synchronous and semi-synchronous steps run in the array
-kernel of the _arrays module instead of the sweep: the same labels,
-change sets, f and tie-stream draws, with each stage counted and
-resolved at once, whatever the labels.  The initial f count and run's
-coloring check read the list of same-label edges
-(graphs.same_label_edges), which is built in numpy on the same graphs.
-Async steps, smaller graphs and installs without numpy run the Python
-loops, which the tests use as the arrays' reference.
+kernel of the _arrays module instead of the sweep, which takes the same
+arguments and gives the same labels, change sets, f and tie-stream
+draws, with each stage counted and resolved at once, whatever the
+labels.  The initial f count and run's coloring check read the list of
+same-label edges (graphs.same_label_edges), which is built in numpy on
+the same graphs.  Async steps, smaller graphs and installs without numpy
+run the Python loops, which the tests use as the arrays' reference.
 
 Nothing re-checks the update rule at run time: the tests check that every
 update adopts a maximal neighbor label, against the reference step code
@@ -57,7 +57,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .coloring import Coloring
+from .coloring import Coloring, _check_permutation
 from .graphs import Graph, _arrays_for, same_label_edges
 from .rng import Stream, mix64
 
@@ -203,103 +203,100 @@ def _pick(cands: list[int], current: int, tie: TieStrategy, stream: "Stream | No
 
 def _sweep(
     graph: Graph,
-    state: LabelState,
-    schedule: Iterable[tuple[int, int]],
+    labels: Sequence[int],
+    stages: Iterable[Sequence[int]],
     tie: TieStrategy,
     rng: DecisionRng,
-    synchronous: bool,
-    active: "bytearray | None",
-) -> LabelState:
-    """One step: update each active vertex of the (stage, vertex) schedule in order.
+    step_no: int,
+    active: bytearray,
+) -> tuple[tuple[int, ...], int, set[int], set[int]]:
+    """One step over `stages` (vertex groups updated one after another), in
+    Python: the reference of _arrays.step, with its parameters and result.
 
-    Synchronous updates all read the previous step's labels; otherwise
-    each update is visible to every later one.  The stage index only
-    seeds the vertex's tie stream.  Isolated vertices keep their label.
+    Every update of a stage reads the labels as of the stage's start.  Its
+    label change, and the flags it sets on the vertex's neighbors, take
+    effect when the stage ends.  The stage's index seeds the tie streams of
+    its vertices.  Isolated vertices keep their label.
 
-    `active` holds one flag per vertex (None: all set); only flagged
-    vertices are evaluated, and the flags are left set for the vertices
-    the next step must evaluate.  An evaluation clears the vertex's flag,
-    except after a RANDOM tie, whose next draw comes from a fresh stream;
-    a label change sets the flags of the vertex's neighbors, after the
-    step when updates are synchronous (the neighbors evaluated this step
-    read the old label).  f is updated from the edges at changed vertices.
+    Only the vertices flagged in `active` are evaluated, and the flags are
+    left set for the vertices the next step must evaluate.  An evaluation
+    clears the vertex's flag, except after a RANDOM tie, whose next draw
+    comes from a fresh stream.  Returns the new labels, the change of the
+    monochromatic-edge count, the changed vertices and those of them that
+    changed on a tie; f is updated from the edges at changed vertices.
     """
-    step = state.step + 1
-    old = state.labels
+    old = labels
     labels = list(old)
-    read = old if synchronous else labels
     adjacency = graph.adjacency
-    if active is None:
-        active = bytearray(b"\x01") * graph.n
     random_ties = tie is TieStrategy.RANDOM
     changed: set[int] = set()
     tie_changed: set[int] = set()
-    for stage, v in schedule:
-        if not active[v]:
-            continue
-        neigh = adjacency[v]
-        if not neigh:
-            active[v] = 0
-            continue
-        cands = _argmax_labels(neighbor_frequencies(graph, v, read))
-        tie_flag = len(cands) > 1
-        if not (tie_flag and random_ties):
-            active[v] = 0
-        current = read[v]
-        stream = None
-        if tie_flag and (random_ties or (tie is TieStrategy.PREC and current not in cands)):
-            stream = rng.tie_stream(step, stage, v)
-        new = _pick(cands, current, tie, stream)
-        if new != current:
-            labels[v] = new
-            changed.add(v)
-            if tie_flag:
-                tie_changed.add(v)
-            if not synchronous:
-                for u in neigh:
+    for stage, members in enumerate(stages):
+        moves = None
+        for v in members:
+            if not active[v]:
+                continue
+            if not adjacency[v]:
+                active[v] = 0
+                continue
+            cands = _argmax_labels(neighbor_frequencies(graph, v, labels))
+            tie_flag = len(cands) > 1
+            if not (tie_flag and random_ties):
+                active[v] = 0
+            current = labels[v]
+            stream = None
+            if tie_flag and (random_ties or (tie is TieStrategy.PREC and current not in cands)):
+                stream = rng.tie_stream(step_no, stage, v)
+            new = _pick(cands, current, tie, stream)
+            if new != current:
+                if moves is None:
+                    moves = []
+                moves.append((v, new))
+                changed.add(v)
+                if tie_flag:
+                    tie_changed.add(v)
+        if moves:
+            for v, new in moves:
+                labels[v] = new
+                for u in adjacency[v]:
                     active[u] = 1
     f_delta = 0
     for v in changed:
         old_v, new_v = old[v], labels[v]
         for u in adjacency[v]:
-            if synchronous:
-                active[u] = 1
             if u > v or u not in changed:  # an edge between two changed vertices counts once
                 f_delta += (labels[u] == new_v) - (old[u] == old_v)
-    return _next_state(state, tuple(labels), f_delta, changed, tie_changed)
+    return tuple(labels), f_delta, changed, tie_changed
 
 
-def _next_state(
-    state: LabelState, labels: tuple[int, ...], f_delta: int, changed: set[int], tie_changed: set[int]
-) -> LabelState:
-    f = state.f_trace[-1] if state.f_trace else state.f_start
-    return replace(
-        state,
-        labels=labels,
-        step=state.step + 1,
-        f_trace=state.f_trace + (f + f_delta,),
-        last_changed=frozenset(changed),
-        last_tie_changed=frozenset(tie_changed),
-    )
-
-
-def _array_step(
+def _step(
     graph: Graph,
     state: LabelState,
-    stages: Sequence[Sequence[int]],
+    stages: Iterable[Sequence[int]],
     tie: TieStrategy,
     rng: DecisionRng,
     active: "bytearray | None",
-) -> "LabelState | None":
-    """The step by the array kernel (see _arrays), where it applies: a
-    graph of at least ARRAY_MIN_EDGES edges and numpy installed.
-    Otherwise None, and the caller sweeps."""
-    arrays = _arrays_for(graph.m)
-    if arrays is None:
-        return None
+    arrays,
+) -> LabelState:
+    """The state after one step over `stages`: by the array kernel when
+    `arrays` is the _arrays module, else by the sweep.  `active` None
+    evaluates every vertex."""
     if active is None:
         active = bytearray(b"\x01") * graph.n
-    return _next_state(state, *arrays.step(graph, state.labels, stages, tie, rng, state.step + 1, active))
+    labels, f_delta, changed, tie_changed = (_sweep if arrays is None else arrays.step)(
+        graph, state.labels, stages, tie, rng, state.step + 1, active
+    )
+    f = state.f_trace[-1] if state.f_trace else state.f_start
+    return LabelState(
+        labels,
+        state.step + 1,
+        state.f_start,
+        state.f_trace + (f + f_delta,),
+        state.status,
+        state.stop_reason,
+        frozenset(changed),
+        frozenset(tie_changed),
+    )
 
 
 def sync_step(
@@ -310,15 +307,13 @@ def sync_step(
     *,
     active: "bytearray | None" = None,
 ) -> LabelState:
-    """One synchronous step: every vertex updates from the previous labels.
+    """One synchronous step: all vertices form one stage, so every update
+    reads the previous step's labels.
 
     Pass `active` to restrict the step to flagged vertices (see run).
     Large graphs take the array kernel (see the module docstring).
     """
-    stepped = _array_step(graph, state, (range(graph.n),), tie, rng, active)
-    if stepped is not None:
-        return stepped
-    return _sweep(graph, state, ((0, v) for v in range(graph.n)), tie, rng, True, active)
+    return _step(graph, state, (range(graph.n),), tie, rng, active, _arrays_for(graph.m))
 
 
 def async_step(
@@ -330,19 +325,21 @@ def async_step(
     *,
     active: "bytearray | None" = None,
 ) -> LabelState:
-    """One asynchronous step: a fresh random permutation, updated in place.
+    """One asynchronous step: each vertex is a stage of its own, in a fresh
+    random permutation.
 
-    Each vertex reads current labels, so earlier positions in the
-    permutation contribute this step's labels and later ones the previous
-    step's.  Inherently sequential within the step.  Pass `order` to pin
-    the permutation instead of drawing it from `rng`, and `active` to
-    restrict the step to flagged vertices (see run).
+    Each update reads the labels left by the stages before it, so earlier
+    positions in the permutation contribute this step's labels and later
+    ones the previous step's.  A vertex's position is its stage index.
+    Inherently sequential within the step, so it always sweeps.  Pass
+    `order` to pin the permutation instead of drawing it from `rng`, and
+    `active` to restrict the step to flagged vertices (see run).
     """
     if order is None:
         order = rng.step_permutation(state.step + 1, graph.n)
-    elif sorted(order) != list(range(graph.n)):
-        raise ValueError("order must be a permutation of the vertices")
-    return _sweep(graph, state, enumerate(order), tie, rng, False, active)
+    else:
+        _check_permutation(order, graph.n, "order")
+    return _step(graph, state, zip(order), tie, rng, active, None)
 
 
 def semi_sync_step(
@@ -357,20 +354,16 @@ def semi_sync_step(
     """One staged step: color classes update in ascending class order.
 
     Within a stage every vertex of the class updates from the labels as
-    of the stage start: properness guarantees no two stage-mates are
-    adjacent, so updating in place reads the same labels, and the
-    processing order within a stage cannot matter.  The coloring is
-    checked first unless `active` is passed: that restricts the step to
-    flagged vertices, and its caller, run, checks the coloring once.
-    Large graphs take the array kernel (see the module docstring).
+    of the stage start, and properness guarantees no two stage-mates are
+    adjacent, so the processing order within a stage cannot matter.  The
+    coloring is checked first unless `active` is passed: that restricts
+    the step to flagged vertices, and its caller, run, checks the
+    coloring once.  Large graphs take the array kernel (see the module
+    docstring).
     """
     if active is None:
         coloring.check_proper(graph)
-    stepped = _array_step(graph, state, coloring.classes, tie, rng, active)
-    if stepped is not None:
-        return stepped
-    schedule = ((stage, v) for stage, cls in enumerate(coloring.classes) for v in cls)
-    return _sweep(graph, state, schedule, tie, rng, False, active)
+    return _step(graph, state, coloring.classes, tie, rng, active, _arrays_for(graph.m))
 
 
 def labels_locally_maximal(graph: Graph, labels: Sequence[int]) -> bool:

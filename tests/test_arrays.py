@@ -9,6 +9,7 @@ path, and shrink the batches to a few edges so that a pass spans several
 of them.
 """
 
+import inspect
 import itertools
 import os
 import random
@@ -41,7 +42,7 @@ from labelprop.propagation import (
 )
 
 from helpers import dump_edge_list
-from oracles import random_graph
+from oracles import random_graph, reference_f
 from strategies import edge_list_documents, edge_list_graphs, gml_documents
 
 STAGED_TIMINGS = [TimingModel.SYNCHRONOUS, TimingModel.SEMI_SYNCHRONOUS]
@@ -126,6 +127,54 @@ def test_kernel_matches_sweep(case, timing, tie, stop, seed, cap, batch):
     assert draws == swept_draws
     # the kernel takes every step, a label beyond int64 included
     assert kernel_steps == list(range(1, swept[1] + 1))
+
+
+@st.composite
+def step_cases(draw):
+    """kernel_cases' graph and labels, any partition of the vertices into
+    stages, in any order (stage-mates may be adjacent, and a stage may be
+    empty), and any active flags."""
+    g, labels, order = draw(kernel_cases())
+    bounds = [0, *sorted(draw(st.lists(st.integers(0, g.n), max_size=g.n))), g.n]
+    stages = tuple(tuple(order[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+    active = bytearray(draw(st.lists(st.integers(0, 1), min_size=g.n, max_size=g.n)))
+    return g, labels, stages, active
+
+
+def test_kernel_and_sweep_take_the_same_parameters():
+    kernel, sweep = (inspect.signature(f).parameters for f in (_arrays.step, propagation._sweep))
+    assert list(kernel) == list(sweep)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    step_cases(),
+    st.sampled_from(list(TieStrategy)),
+    st.integers(0, 2**63),
+    st.integers(1, 1000),
+    st.sampled_from([1, 3, 1 << 14]),
+)
+def test_kernel_step_matches_sweep_on_any_stages(case, tie, seed, step_no, batch):
+    # flag states and adjacent stage-mates that run() never produces
+    g, labels, stages, active = case
+    tie_stream = DecisionRng.tie_stream
+    outcomes = []
+    for stepper in (propagation._sweep, _arrays.step):
+        draws = Counter()
+
+        def counted_draw(self, step, stage, vertex):
+            draws[step, stage, vertex] += 1
+            return tie_stream(self, step, stage, vertex)
+
+        flags = bytearray(active)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(DecisionRng, "tie_stream", counted_draw)
+            mp.setattr(_arrays, "_BATCH_EDGES", batch)
+            stepped = stepper(g, labels, stages, tie, DecisionRng(seed), step_no, flags)
+        outcomes.append((stepped, flags, draws))
+    assert outcomes[1] == outcomes[0]
+    new_labels, f_delta = outcomes[0][0][:2]
+    assert f_delta == reference_f(g.adjacency, new_labels) - reference_f(g.adjacency, labels)
 
 
 def test_kernel_matches_sweep_on_a_graph_above_the_batch_size():

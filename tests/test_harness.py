@@ -134,6 +134,16 @@ def test_network_resolution_variants(tmp_path: Path):
     assert by_name == by_graph == by_path
 
 
+@pytest.mark.parametrize("timing", list(TimingModel))
+def test_experiments_refuse_a_graph_with_no_vertices(timing):
+    empty = setting(timing=timing, network=Graph(0, 0, ()), trials=1)
+    refusal = r"^an experiment needs a graph with vertices; this one has none$"
+    with pytest.raises(ValueError, match=refusal):
+        run_experiment(empty)
+    with pytest.raises(ValueError, match=refusal):
+        run_trial(empty, 0)
+
+
 def test_network_load_errors_propagate(tmp_path: Path):
     with pytest.raises(FileNotFoundError):
         run_trial(setting(network=str(tmp_path / "missing.edgelist")), 0)

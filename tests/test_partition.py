@@ -218,6 +218,9 @@ def test_partition_stats():
     assert (stats.count, stats.largest) == (1, 6)
     assert stats.sizes == (6,)
 
+    none = partition_stats(extract_communities(Graph(0, 0, ()), []))
+    assert (none.count, none.largest, none.sizes) == (0, 0, ())
+
 
 def test_membership_length_validated():
     g = fixtures.graph("c4")

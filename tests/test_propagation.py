@@ -206,8 +206,9 @@ def test_initial_state_refuses_labels_that_are_not_non_negative_integers(bad):
 
 def test_async_step_rejects_bad_order():
     g = fixtures.graph("path3")
-    with pytest.raises(ValueError):
-        async_step(g, initial_state(g), TieStrategy.MAX, RNG, order=[0, 1])
+    for order in ([0, 1], [0, 0, 2]):
+        with pytest.raises(ValueError, match=r"^order must be a permutation of 0\.\.2$"):
+            async_step(g, initial_state(g), TieStrategy.MAX, RNG, order=order)
 
 
 def test_semi_sync_step_c4_converges_where_sync_oscillates():
