@@ -3,7 +3,8 @@
 Exit codes: 0 success/converged, 1 input error, 2 step cap hit without
 convergence, 64 usage error.  Graph arguments accept an embedded fixture
 name (karate, c4, path3, star4, triangles-bridge) or a file path; paths
-ending in .gml parse as GML, anything else as an edge list.
+ending in .gml parse as GML, anything else as an edge list.  Files are
+read and written as UTF-8, whatever the locale.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def load_graph(ref: str) -> tuple[Graph, LoadReport, str]:
         return graph, report, ref
     path = Path(ref)
     loader = load_gml if path.suffix.lower() == ".gml" else load_edge_list
-    with path.open() as source:  # an edge list is read line by line, never held whole
+    with path.open(encoding="utf-8") as source:  # an edge list is read line by line, never held whole
         graph, report = loader(source)
     return graph, report, path.name
 
@@ -72,7 +73,7 @@ def _emit(text: str, out: "Path | None" = None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        out.write_text(text)
+        out.write_text(text, encoding="utf-8")
 
 
 # --- run -------------------------------------------------------------------
@@ -94,7 +95,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.coloring_out is not None:
         if coloring is None:
             raise ValueError("--coloring-out only applies to semi-sync timing")
-        Path(args.coloring_out).write_text(coloring_csv(coloring))
+        Path(args.coloring_out).write_text(coloring_csv(coloring), encoding="utf-8")
     state, metrics = run(graph, config, coloring)
     part = extract_communities(graph, state.labels)
     stats = partition_stats(part)
@@ -215,7 +216,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             summaries.append(summary)
             if outdir is not None:
                 stem = f"trials_{timing.value}_{tie.value}".replace("-", "_")
-                (outdir / f"{stem}.csv").write_text(trials_csv(summary))
+                (outdir / f"{stem}.csv").write_text(trials_csv(summary), encoding="utf-8")
 
     if args.format == "json":
         text = json.dumps(

@@ -16,6 +16,10 @@ _FILES = {
 }
 
 
+def _data_text(filename: str) -> str:
+    return resources.files(__package__).joinpath("data").joinpath(filename).read_text(encoding="utf-8")
+
+
 def names() -> list[str]:
     return sorted(_FILES)
 
@@ -25,7 +29,7 @@ def fixture_text(name: str) -> str:
         filename = _FILES[name]
     except KeyError:
         raise KeyError(f"unknown fixture {name!r}; available: {', '.join(names())}")
-    return resources.files(__package__).joinpath("data").joinpath(filename).read_text()
+    return _data_text(filename)
 
 
 def load(name: str) -> tuple[Graph, LoadReport]:
@@ -44,7 +48,7 @@ def graph(name: str) -> Graph:
 
 def karate_factions() -> list[int]:
     """Two-faction karate membership (0 = Mr. Hi's side, 1 = officers') by vertex."""
-    text = resources.files(__package__).joinpath("data").joinpath("karate_factions.csv").read_text()
+    text = _data_text("karate_factions.csv")
     membership: dict[int, int] = {}
     for line in text.splitlines():
         line = line.strip()

@@ -75,7 +75,7 @@ def _arrays_for(size: int):
         return None
     try:
         from . import _arrays
-    except ModuleNotFoundError:
+    except ImportError:
         return None
     return _arrays
 

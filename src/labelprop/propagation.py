@@ -29,9 +29,9 @@ A vertex's choice depends only on its neighbors' labels and its own, and
 its own label is the one its unchanged neighborhood chose last time,
 which every tie rule but RANDOM keeps choosing, without a draw: Max picks
 the same largest label and Prec and Prec-Max keep the current one.  A
-RANDOM tie draws from a fresh stream each step, so it stays active.  The
-monochromatic-edge count f is updated from the edges at changed vertices
-rather than recounted.
+RANDOM tie draws from a fresh stream each step, so it stays active.  Each
+label change moves the monochromatic-edge count f by the new label's
+neighbors minus the old one's; f is not recounted.
 
 On graphs of at least graphs.ARRAY_MIN_EDGES edges, with numpy
 installed, the synchronous and semi-synchronous steps run in the array
@@ -223,12 +223,14 @@ def _sweep(
     clears the vertex's flag, except after a RANDOM tie, whose next draw
     comes from a fresh stream.  Returns the new labels, the change of the
     monochromatic-edge count, the changed vertices and those of them that
-    changed on a tie; f is updated from the edges at changed vertices.
+    changed on a tie.  A stage's end walks each changed vertex's neighbors
+    once, to flag them and to move f by the labels as they stand; each
+    move's delta is exact after the ones before, so they sum to the step's.
     """
-    old = labels
-    labels = list(old)
+    labels = list(labels)
     adjacency = graph.adjacency
     random_ties = tie is TieStrategy.RANDOM
+    f_delta = 0
     changed: set[int] = set()
     tie_changed: set[int] = set()
     for stage, members in enumerate(stages):
@@ -257,15 +259,12 @@ def _sweep(
                     tie_changed.add(v)
         if moves:
             for v, new in moves:
-                labels[v] = new
+                old = labels[v]
                 for u in adjacency[v]:
                     active[u] = 1
-    f_delta = 0
-    for v in changed:
-        old_v, new_v = old[v], labels[v]
-        for u in adjacency[v]:
-            if u > v or u not in changed:  # an edge between two changed vertices counts once
-                f_delta += (labels[u] == new_v) - (old[u] == old_v)
+                    label = labels[u]
+                    f_delta += (label == new) - (label == old)
+                labels[v] = new
     return tuple(labels), f_delta, changed, tie_changed
 
 

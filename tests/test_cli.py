@@ -1,12 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from strategies import edge_list_documents, gml_documents
 
+import labelprop
 from labelprop.cli import load_graph, main
 from labelprop.graphs import GraphParseError, load_edge_list, load_gml
 
@@ -197,6 +201,12 @@ def test_info_c4(capsys):
     assert code == 0
     doc = json.loads(out)
     assert (doc["n"], doc["m"], doc["max_degree"]) == (4, 4, 2)
+
+
+def test_info_plot_data_lists_every_degree(capsys):
+    code, out, _ = run_cli(capsys, "info", "star4", "--format", "plot-data")
+    assert code == 0
+    assert out == "x,y,series\n0,3,degree\n1,1,degree\n2,1,degree\n3,1,degree\n"
 
 
 def test_info_gml_path(capsys, tmp_path: Path):
@@ -418,3 +428,29 @@ def test_readme_examples_run(capsys, monkeypatch, tmp_path):
         assert main(argv) == 0, argv
         assert capsys.readouterr().out
     assert any((tmp_path / "results").iterdir())
+
+
+_NON_ASCII_GRAPHS = {
+    "names.gml": 'graph [\n  node [ id 1 label "\u00e9" ]\n  node [ id 2 label "b" ]\n  node [ id 3 ]\n'
+                 '  edge [ source 1 target 2 ]\n  edge [ source 2 target 3 ]\n]\n',
+    "names.edgelist": "\u00e9 b\nb c\nc \u00e9\nc d\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NON_ASCII_GRAPHS))
+def test_graph_files_read_as_utf8_whatever_the_locale(tmp_path: Path, name):
+    # an ASCII locale's default encoding cannot decode the e-acute
+    path = tmp_path / name
+    path.write_text(_NON_ASCII_GRAPHS[name], encoding="utf-8")
+    src = str(Path(labelprop.__file__).resolve().parents[1])
+    outputs = []
+    for locale in ({"PYTHONUTF8": "1"}, {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}):
+        coloring = tmp_path / f"coloring-{len(outputs)}.csv"
+        done = subprocess.run(
+            [sys.executable, "-m", "labelprop.cli", "run", str(path), "--format", "csv",
+             "--coloring-out", str(coloring)],
+            env=dict(os.environ, PYTHONPATH=src, **locale), capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append((done.stdout, coloring.read_bytes()))
+    assert outputs[1] == outputs[0]

@@ -102,17 +102,22 @@ def test_check_proper_rejects_monochromatic_edge():
 
 
 @pytest.mark.parametrize(
-    "classes, message",
+    "color_of, classes, message",
     [
-        (((0, 2), (1, 5)), "vertex 5 in class 1 out of range [0, 3)"),
-        (((0,), (-2, 1)), "vertex -2 in class 1 out of range [0, 3)"),
-        (((0, 2), (1,), ()), "class 2 is empty"),
+        ((0, 1, 0), ((0, 2), (1, 5)), "vertex 5 in class 1 out of range [0, 3)"),
+        ((0, 1, 0), ((0,), (-2, 1)), "vertex -2 in class 1 out of range [0, 3)"),
+        ((0, 1, 0), ((0, 2), (1,), ()), "class 2 is empty"),
+        ((0, 1), ((0,), (1,)), "coloring size does not match graph"),
+        ((0, 1, 0), ((0,), (1, 2)), "vertex 2 listed in class 1 but colored 0"),
+        ((0, 1, 0), ((0, 2, 0), (1,)), "vertex 0 appears in two classes"),
+        ((0, 1, 0), ((0,), (1,)), "classes do not cover all vertices"),
     ],
-    ids=["member beyond n", "negative member", "empty class"],
+    ids=["member beyond n", "negative member", "empty class", "size mismatch",
+         "class and color disagree", "member repeated", "vertex in no class"],
 )
-def test_check_proper_rejects_malformed_classes(classes, message):
+def test_check_proper_rejects_malformed_classes(color_of, classes, message):
     g = fixtures.graph("path3")
-    bad = Coloring(color_of=(0, 1, 0), classes=classes)
+    bad = Coloring(color_of=color_of, classes=classes)
     with pytest.raises(ValueError, match=re.escape(message)):
         bad.check_proper(g)
 

@@ -1,7 +1,10 @@
+import os
 import re
+import subprocess
 import sys
 import time
 from io import StringIO
+from pathlib import Path
 
 import oracles
 import pytest
@@ -93,6 +96,12 @@ def test_fixture_invariants(name):
         assert v not in g.adjacency[v]
         for u in g.adjacency[v]:
             assert v in g.adjacency[u]
+
+
+def test_unknown_fixture_names_the_available_ones():
+    available = ", ".join(fixtures.names())
+    with pytest.raises(KeyError, match=re.escape(f"unknown fixture 'nope'; available: {available}")):
+        fixtures.fixture_text("nope")
 
 
 def test_star_degrees():
@@ -685,3 +694,38 @@ def test_gml_scan_is_linear_in_whitespace():
     g, _ = load_gml(text)
     assert time.perf_counter() - start < 1.0
     assert g.n == 1
+
+
+_BROKEN_NUMPY_SCRIPT = """
+import sys
+from labelprop import cli, fixtures, graphs
+from labelprop.coloring import greedy_color
+from labelprop.partition import extract_communities
+from labelprop.propagation import RunConfig, TieStrategy, TimingModel, run
+
+def outcomes():
+    g, report = graphs.load_edge_list(fixtures.fixture_text("karate"))
+    runs = []
+    for timing in TimingModel:
+        coloring = greedy_color(g, range(g.n)) if timing is TimingModel.SEMI_SYNCHRONOUS else None
+        state, metrics = run(g, RunConfig(timing=timing, tie=TieStrategy.PREC_MAX, seed=1), coloring)
+        runs.append((state, metrics, extract_communities(g, state.labels)))
+    return g, report, runs, cli.main(["info", "karate"])
+
+expected = outcomes()
+graphs.ARRAY_MIN_EDGES = 0
+assert outcomes() == expected
+assert "labelprop._arrays" not in sys.modules
+"""
+
+
+def test_a_numpy_that_fails_to_import_leaves_the_python_loops(tmp_path: Path):
+    # not only a missing numpy: one whose import raises ImportError
+    stub = tmp_path / "numpy"
+    stub.mkdir()
+    (stub / "__init__.py").write_text('raise ImportError("numpy is broken")\n')
+    src = str(Path(graphs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), src]))
+    done = subprocess.run([sys.executable, "-c", _BROKEN_NUMPY_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -767,6 +767,49 @@ def test_incremental_f_counts_an_edge_between_changed_vertices_once():
     assert (s.f_start, s.f_trace) == (1, (4,))
 
 
+class CountingRow(tuple):
+    """A neighbor row that counts the loops over it."""
+
+    reads = 0
+
+    def __iter__(self):
+        CountingRow.reads += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("timing", list(TimingModel))
+def test_sweep_reads_each_changed_vertex_row_once(monkeypatch, timing):
+    # an evaluation counts a row's labels; a move flags its neighbors and
+    # moves f in one more loop over the row, and nothing else reads it
+    plain = fixtures.graph("karate")
+    g = Graph(plain.n, plain.m, tuple(CountingRow(row) for row in plain.adjacency))
+    stages = {
+        TimingModel.SYNCHRONOUS: (range(g.n),),
+        TimingModel.SEMI_SYNCHRONOUS: greedy_color(plain, range(g.n)).classes,
+        TimingModel.ASYNCHRONOUS: list(zip(RNG.step_permutation(1, g.n))),
+    }[timing]
+    labels = tuple(range(g.n))
+    active = bytearray(v % 3 != 0 for v in range(g.n))
+    evaluated = []
+    count = propagation.neighbor_frequencies
+
+    def counted(graph, v, labels):
+        evaluated.append(v)
+        return count(graph, v, labels)
+
+    expected_flags = bytearray(active)
+    expected = propagation._sweep(plain, labels, stages, TieStrategy.MAX, RNG, 1, expected_flags)
+    monkeypatch.setattr(propagation, "neighbor_frequencies", counted)
+    monkeypatch.setattr(CountingRow, "reads", 0)
+    swept = propagation._sweep(g, labels, stages, TieStrategy.MAX, RNG, 1, active)
+    new_labels, f_delta, changed, _ = swept
+    assert (swept, active) == (expected, expected_flags)
+    assert f_delta == reference_f(plain.adjacency, new_labels) - reference_f(plain.adjacency, labels)
+    if timing is TimingModel.SYNCHRONOUS:
+        assert any(u in changed for v in changed for u in plain.adjacency[v])
+    assert changed and CountingRow.reads == len(evaluated) + len(changed)
+
+
 @pytest.mark.parametrize("timing", [TimingModel.SEMI_SYNCHRONOUS, TimingModel.ASYNCHRONOUS])
 def test_active_set_skips_settled_vertices(monkeypatch, timing):
     g = seeded_graph(2024, 300, 0.02)

@@ -1,5 +1,7 @@
 from collections import Counter
 
+import pytest
+
 from labelprop.rng import Stream, mix64
 
 
@@ -22,6 +24,12 @@ def test_below_respects_bounds():
     draws = [s.below(7) for _ in range(1000)]
     assert all(0 <= d < 7 for d in draws)
     assert set(draws) == set(range(7))
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_below_refuses_a_bound_below_one(bound):
+    with pytest.raises(ValueError, match=r"^below\(\) needs a positive bound$"):
+        Stream(3).below(bound)
 
 
 def test_below_is_roughly_uniform():
