@@ -2,7 +2,14 @@
 
 from .coloring import Coloring, color_from_labels, greedy_color
 from .graphs import Graph, GraphParseError, LoadReport, load_edge_list, load_gml
-from .harness import ExperimentSummary, TestSetting, TrialResult, run_experiment, run_trial
+from .harness import (
+    ExperimentSummary,
+    TestSetting,
+    TrialResult,
+    run_experiment,
+    run_experiments,
+    run_trial,
+)
 from .partition import (
     Community,
     Partition,
@@ -49,6 +56,7 @@ __all__ = [
     "partition_stats",
     "run",
     "run_experiment",
+    "run_experiments",
     "run_trial",
     "__version__",
 ]

@@ -18,7 +18,8 @@ from pathlib import Path
 from . import fixtures
 from .coloring import color_from_labels, coloring_csv
 from .graphs import Graph, GraphParseError, LoadReport, load_edge_list, load_gml
-from .harness import ExperimentSummary, TestSetting, run_experiment, trials_csv
+from .harness import ExperimentSummary, TestSetting, run_experiments, trials_csv
+from .harness import run_experiment  # noqa: F401 - bench/layers.py patches this name
 from .partition import extract_communities, modularity, partition_stats
 from .propagation import (
     RunConfig,
@@ -200,23 +201,23 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
 
-    summaries: list[ExperimentSummary] = []
-    for timing in timings:
-        for tie in ties:
-            setting = TestSetting(
-                timing=timing,
-                network=graph,
-                tie=tie,
-                trials=args.trials,
-                base_seed=args.seed,
-                step_cap=args.cap,
-            )
-            summary = run_experiment(setting)
-            summary = dataclasses.replace(summary, network=name)
-            summaries.append(summary)
-            if outdir is not None:
-                stem = f"trials_{timing.value}_{tie.value}".replace("-", "_")
-                (outdir / f"{stem}.csv").write_text(trials_csv(summary), encoding="utf-8")
+    settings = [
+        TestSetting(
+            timing=timing,
+            network=graph,
+            tie=tie,
+            trials=args.trials,
+            base_seed=args.seed,
+            step_cap=args.cap,
+        )
+        for timing in timings
+        for tie in ties
+    ]
+    summaries = [dataclasses.replace(s, network=name) for s in run_experiments(settings)]
+    if outdir is not None:
+        for s in summaries:
+            stem = f"trials_{s.timing.value}_{s.tie.value}".replace("-", "_")
+            (outdir / f"{stem}.csv").write_text(trials_csv(s), encoding="utf-8")
 
     if args.format == "json":
         text = json.dumps(

@@ -41,10 +41,10 @@ class Coloring:
             for v in cls:
                 if not 0 <= v < n:
                     raise ValueError(f"vertex {v} in class {c} out of range [0, {n})")
+                if seen[v]:
+                    raise ValueError(f"vertex {v} is listed more than once")
                 if self.color_of[v] != c:
                     raise ValueError(f"vertex {v} listed in class {c} but colored {self.color_of[v]}")
-                if seen[v]:
-                    raise ValueError(f"vertex {v} appears in two classes")
                 seen[v] = True
         if not all(seen):
             raise ValueError("classes do not cover all vertices")

@@ -8,11 +8,25 @@ it can stop at a labeling that labels_locally_maximal rejects: 8 of the
 StopCriterion).  One hundred independent trials per setting (the
 protocol's default) give the mean/deviation aggregates used to compare
 quality, timing, and stability across configurations.
+
+Each trial is a pure function of (graph, setting, trial index), so
+run_experiments splits the trials of all its settings, in setting order
+and then trial order, over w processes, one per usable core: it forks
+w - 1 children, child k runs trials k, k + w, k + 2w, ... and pipes its
+results back pickled, and the caller runs trials 0, w, 2w, ... itself.
+Results are byte-identical however the trials are split.  One usable
+core (``taskset -c 0``), one trial, a platform without ``os.fork`` or a
+caller with a second thread alive (forking a threaded process can
+deadlock) run every trial in the caller.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 import statistics
+import threading
 from dataclasses import dataclass
 
 from .coloring import color_from_labels
@@ -36,6 +50,7 @@ __all__ = [
     "trial_seed",
     "run_trial",
     "run_experiment",
+    "run_experiments",
     "trials_csv",
 ]
 
@@ -178,27 +193,127 @@ def _summarize(values: list[float]) -> MetricSummary:
     )
 
 
-def run_experiment(setting: TestSetting) -> ExperimentSummary:
-    """Run all trials of a setting in trial-index order and aggregate."""
-    graph, name = setting.resolve_network()
-    results = [_run_one(graph, setting, i) for i in range(setting.trials)]
+_Job = tuple[Graph, TestSetting, int]
 
-    converged = [r for r in results if r.converged]
-    return ExperimentSummary(
-        timing=setting.timing,
-        tie=setting.tie,
-        network=name,
-        trials=setting.trials,
-        base_seed=setting.base_seed,
-        modularity=_summarize([r.modularity for r in converged] if graph.m else []),
-        steps=_summarize([float(r.steps) for r in results]),
-        stages=_summarize([float(r.stages) for r in results]),
-        communities=_summarize([float(r.community_count) for r in results]),
-        largest_community=_summarize([float(r.largest_community) for r in results]),
-        convergence_rate=len(converged) / setting.trials,
-        non_converged=setting.trials - len(converged),
-        results=tuple(results),
-    )
+
+def _workers(jobs: int) -> int:
+    """How many processes share `jobs` trials: one per usable core, or
+    one when the caller cannot fork safely."""
+    if jobs < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return min(cores, jobs)
+
+
+def _run_share(jobs: list[_Job], worker: int, workers: int):
+    """Run jobs[worker::workers] in order, stopping at the first that
+    raises; return the results and (job position, exception) or None."""
+    results = []
+    for position in range(worker, len(jobs), workers):
+        try:
+            results.append(_run_one(*jobs[position]))
+        except Exception as exc:
+            return results, (position, exc)
+    return results, None
+
+
+def _run_jobs(jobs: list[_Job]) -> list[TrialResult]:
+    """Run every job, split over the usable cores; results in job order.
+
+    If trials raise, the exception of the first failing job in job order
+    propagates, as it would with every trial run in the caller.
+    """
+    workers = _workers(len(jobs))
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    payloads: list[bytes] = []
+    try:
+        for worker in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:  # the child never returns into the caller's stack
+                status = 1
+                try:
+                    os.close(read)
+                    share = _run_share(jobs, worker, workers)
+                    with os.fdopen(write, "wb") as pipe:
+                        pickle.dump(share, pipe, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children.append((pid, read))
+        shares = [_run_share(jobs, 0, workers)]
+        for _, read in children:
+            with os.fdopen(read, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())
+    finally:
+        statuses = []
+        for k, (pid, read) in enumerate(children):
+            os.close(read)
+            if k >= len(payloads):  # the caller stopped before reading it
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for (pid, _), payload, status in zip(children, payloads, statuses):
+        if status != 0:
+            raise ChildProcessError(
+                f"trial worker {pid} ended with exit status {status} instead of sending its results"
+            )
+        shares.append(pickle.loads(payload))
+    failures = [failure for _, failure in shares if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return [shares[p % workers][0][p // workers] for p in range(len(jobs))]
+
+
+def run_experiments(settings: list[TestSetting]) -> list[ExperimentSummary]:
+    """Run all trials of every setting and aggregate each setting's.
+
+    The trials, in setting order and then trial-index order, are split
+    over the usable cores (see the module docstring); each summary lists
+    its setting's trials in trial-index order whatever the split.
+    """
+    resolved = [setting.resolve_network() for setting in settings]
+    jobs = [
+        (graph, setting, index)
+        for setting, (graph, _) in zip(settings, resolved)
+        for index in range(setting.trials)
+    ]
+    results = _run_jobs(jobs)
+    summaries = []
+    start = 0
+    for setting, (graph, name) in zip(settings, resolved):
+        trials = results[start:start + setting.trials]
+        start += setting.trials
+        converged = [r for r in trials if r.converged]
+        summaries.append(ExperimentSummary(
+            timing=setting.timing,
+            tie=setting.tie,
+            network=name,
+            trials=setting.trials,
+            base_seed=setting.base_seed,
+            modularity=_summarize([r.modularity for r in converged] if graph.m else []),
+            steps=_summarize([float(r.steps) for r in trials]),
+            stages=_summarize([float(r.stages) for r in trials]),
+            communities=_summarize([float(r.community_count) for r in trials]),
+            largest_community=_summarize([float(r.largest_community) for r in trials]),
+            convergence_rate=len(converged) / setting.trials,
+            non_converged=setting.trials - len(converged),
+            results=tuple(trials),
+        ))
+    return summaries
+
+
+def run_experiment(setting: TestSetting) -> ExperimentSummary:
+    """Run all trials of one setting and aggregate (see run_experiments)."""
+    return run_experiments([setting])[0]
 
 
 def trials_csv(summary: ExperimentSummary) -> str:

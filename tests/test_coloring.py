@@ -109,11 +109,13 @@ def test_check_proper_rejects_monochromatic_edge():
         ((0, 1, 0), ((0, 2), (1,), ()), "class 2 is empty"),
         ((0, 1), ((0,), (1,)), "coloring size does not match graph"),
         ((0, 1, 0), ((0,), (1, 2)), "vertex 2 listed in class 1 but colored 0"),
-        ((0, 1, 0), ((0, 2, 0), (1,)), "vertex 0 appears in two classes"),
+        ((0, 1, 0), ((0, 2, 0), (1,)), "vertex 0 is listed more than once"),
+        ((0, 1, 0), ((0, 2), (1, 0)), "vertex 0 is listed more than once"),
         ((0, 1, 0), ((0,), (1,)), "classes do not cover all vertices"),
     ],
     ids=["member beyond n", "negative member", "empty class", "size mismatch",
-         "class and color disagree", "member repeated", "vertex in no class"],
+         "class and color disagree", "member repeated", "vertex in two classes",
+         "vertex in no class"],
 )
 def test_check_proper_rejects_malformed_classes(color_of, classes, message):
     g = fixtures.graph("path3")

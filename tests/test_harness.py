@@ -1,15 +1,19 @@
 import itertools
+import os
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
-from labelprop import fixtures
+from labelprop import fixtures, harness
 from labelprop.coloring import color_from_labels
 from labelprop.graphs import Graph
 from labelprop.harness import (
     TestSetting,
     TrialResult,
     run_experiment,
+    run_experiments,
     run_trial,
     trial_seed,
     trials_csv,
@@ -165,3 +169,173 @@ def test_semi_sync_beats_async_on_stages_for_karate():
                 tie=TieStrategy.MAX, trials=30)
     )
     assert semi.stages.mean < asyn.stages.mean
+
+
+# --- the trial split over cores ---------------------------------------------
+
+# 8 settings x 7 trials: 56 jobs, which 3 workers do not divide, and a
+# per-setting trial count that neither 2 nor 3 divides.
+SPLIT_SETTINGS = [
+    setting(timing=timing, network="karate", tie=tie, trials=7)
+    for timing in (TimingModel.ASYNCHRONOUS, TimingModel.SEMI_SYNCHRONOUS)
+    for tie in TieStrategy
+]
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Pin the usable core count; afterwards, require that no child is
+    left unreaped."""
+
+    def pin(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+    yield pin
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Spy on os.fork: the pids of the children forked."""
+    pids = []
+    real = os.fork
+
+    def spy():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+def _serial(settings):
+    return [[run_trial(s, i) for i in range(s.trials)] for s in settings]
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_split_over_cores_gives_the_serial_results(count, cores, forks):
+    cores(1)
+    serial = run_experiments(SPLIT_SETTINGS)
+    assert forks == []
+    cores(count)
+    split = run_experiments(SPLIT_SETTINGS)
+    assert len(forks) == count - 1
+    assert split == serial
+    assert [trials_csv(s) for s in split] == [trials_csv(s) for s in serial]
+    assert [list(s.results) for s in split] == _serial(SPLIT_SETTINGS)
+    assert [run_experiment(s) for s in SPLIT_SETTINGS[:2]] == split[:2]
+
+
+def test_a_second_thread_keeps_every_trial_in_the_caller(cores, forks):
+    cores(2)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        summaries = run_experiments(SPLIT_SETTINGS[:2])
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+    assert [list(s.results) for s in summaries] == _serial(SPLIT_SETTINGS[:2])
+
+
+@pytest.mark.parametrize("case", ["one job", "no fork", "no affinity call"])
+def test_split_fallbacks(case, cores, forks, monkeypatch):
+    cores(2)
+    settings = SPLIT_SETTINGS[:1]
+    if case == "one job":
+        settings = [setting(network="karate", trials=1)]
+    elif case == "no fork":
+        monkeypatch.delattr(os, "fork")
+    else:  # fall back on the cpu count
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    summaries = run_experiments(settings)
+    assert len(forks) == (case == "no affinity call")
+    assert [list(s.results) for s in summaries] == _serial(settings)
+
+
+@pytest.mark.parametrize(
+    "failing, first",
+    [({3}, 3), ({3, 4}, 3), ({2, 3}, 2)],
+    ids=["in a child", "child before caller", "caller before child"],
+)
+def test_the_first_failing_trial_raises_in_the_caller(failing, first, cores, forks, monkeypatch):
+    # with 2 workers, trials 0, 2, 4 run in the caller and 1, 3, 5 in the child
+    real = harness._run_one
+
+    def flaky(graph, s, index):
+        if index in failing:
+            raise ValueError(f"trial {index} failed")
+        return real(graph, s, index)
+
+    cores(2)
+    monkeypatch.setattr(harness, "_run_one", flaky)
+    with pytest.raises(ValueError, match=rf"^trial {first} failed$"):
+        run_experiment(setting(network="karate", trials=6))
+    assert len(forks) == 1
+
+
+def test_a_child_that_dies_before_writing_is_named(cores, forks, monkeypatch):
+    caller = os.getpid()
+    real = harness._run_one
+
+    def dying(graph, s, index):
+        if os.getpid() != caller:
+            os._exit(3)
+        return real(graph, s, index)
+
+    cores(2)
+    monkeypatch.setattr(harness, "_run_one", dying)
+    with pytest.raises(ChildProcessError) as info:
+        run_experiment(setting(network="karate", trials=4))
+    [pid] = forks
+    assert str(info.value) == (
+        f"trial worker {pid} ended with exit status 3 instead of sending its results"
+    )
+
+
+class _Interrupt(BaseException):
+    pass
+
+
+def test_an_interrupted_caller_kills_and_reaps_its_children(cores, forks, monkeypatch):
+    caller = os.getpid()
+
+    def stalling(graph, s, index):
+        if os.getpid() != caller:
+            time.sleep(60)
+        raise _Interrupt
+
+    cores(3)
+    monkeypatch.setattr(harness, "_run_one", stalling)
+    start = time.monotonic()
+    with pytest.raises(_Interrupt):
+        run_experiment(setting(network="karate", trials=3))
+    assert time.monotonic() - start < 30
+    assert len(forks) == 2
+
+
+def test_a_failed_fork_reaps_the_children_already_forked(cores, forks, monkeypatch):
+    spy = os.fork
+
+    def second_fails():
+        if forks:
+            raise BlockingIOError("fork refused")
+        return spy()
+
+    fds = Path("/proc/self/fd")
+    if not fds.is_dir():
+        pytest.skip("needs /proc/self/fd to count open descriptors")
+    cores(3)
+    monkeypatch.setattr(os, "fork", second_fails)
+    before = len(list(fds.iterdir()))
+    with pytest.raises(BlockingIOError, match="^fork refused$"):
+        run_experiment(setting(network="karate", trials=3))
+    assert len(forks) == 1
+    assert len(list(fds.iterdir())) == before  # both pipes closed
