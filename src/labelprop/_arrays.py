@@ -3,7 +3,10 @@
 ``graphs._arrays_for`` picks them: for graphs with at least
 ``graphs.ARRAY_MIN_EDGES`` edges, when numpy is installed.  Each has a
 pure-Python counterpart that smaller graphs and installs without numpy
-run, and that the tests use as its reference: ``assemble`` builds a
+run, and that the tests use as its reference: ``read_edge_lines`` reads
+an edge list whose vertex tokens are decimal integers
+(``graphs.load_edge_list``'s line loop, which is also its fallback),
+``assemble`` builds a
 loader's adjacency (``graphs._assemble``), ``step`` is one synchronous or
 semi-synchronous step (``propagation._sweep``, which takes the same
 arguments and returns the same tuple),
@@ -14,6 +17,20 @@ components of those edges by the same union-find scheme, in rounds
 (``partition.extract_communities``).  Every pass takes the CSR rows in
 batches of about ``_BATCH_EDGES`` entries (``_rows``), so its temporary
 arrays stay small whatever the graph's size.
+
+The edge-list reader.  An edge list is chosen for it by the lines its
+size could hold, and read in windows of ``_READ_WINDOW`` characters cut
+after a line end, so its temporary arrays stay small too.  Each window
+is checked and parsed in C: ``bytes.translate`` finds any byte but
+digits and whitespace, one comparison marks the digits, whose edges give
+every token's start and length and whose line ends must fall after every
+second token, and ``np.fromstring`` parses the values.  ``np.unique``
+numbers a window's distinct values, and one dict from value to id, looked
+up once per distinct value a window, keeps ids in first-appearance order
+across windows.  The ids of every window join one ``array("i")``, which
+``assemble`` copies into numpy in one step (``np.fromiter`` over a list
+of the same ids took about 15 ms on the planted file).  A window that
+fails a check goes, with the rest of the input, to the line loop.
 
 The step kernel.  Every update of a stage reads the labels as of the
 stage start: a synchronous step is one stage that reads the previous
@@ -42,8 +59,12 @@ Importing this module imports numpy.
 
 from __future__ import annotations
 
+import io
+import re
+from array import array
+from itertools import chain, repeat
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -54,22 +75,120 @@ from .propagation import DecisionRng, TieStrategy
 # (tens of bytes an entry) whatever the size of a stage: on a 193k-edge
 # graph, 16k entries a batch ran as fast as 64k and peaked 2 MiB lower.
 _BATCH_EDGES = 1 << 14
+# Characters per window of an edge list read in numpy, plus the rest of the
+# window's last line.  A window's bytes, masks and values are made together
+# (about 16 bytes a character), so this bounds the memory a read adds.  On
+# the 2.1 MB planted file 256 Ki read in 91 ms (best of 15), 64 Ki in 109 ms
+# with a peak about 1 MiB lower, and 1 Mi no faster.  Tests move it to put
+# cuts anywhere.
+_READ_WINDOW = 1 << 18
+_DECIMAL_TEXT = b"0123456789 \t\r\n"  # the only bytes a window read in numpy holds
+_HEAD = re.compile(r"(?:[^\S\n]*(?:#[^\n]*)?\n)*")  # blank and comment lines, as the line loop skips them
+
+
+def read_edge_lines(lines: TextIO) -> tuple[dict[str, int], "array | list[int]", int, Iterable[str]]:
+    """Read the edge lines of `lines` in numpy while their vertex tokens
+    are decimal integers: ``graphs.load_edge_list``'s reader, whose line
+    loop is its fallback and its test oracle.
+
+    The input is read in windows of ``_READ_WINDOW`` characters and the
+    rest of their last line; lines end at LF.  Blank and comment lines at
+    the top are skipped.  A window is read in numpy only when it is ASCII,
+    holds only digits, space, tab, CR and LF, and every line holds exactly
+    two tokens, each a canonical decimal below 10**18 (``str(value)`` is
+    the token).  Its values get ids in first-appearance order through one
+    value-to-id table, and each new value's name ``str(value)`` joins the
+    line loop's id map.
+
+    Returns ``(ids, ends, lineno, rest)``: the id of each name, in id
+    order, the endpoint ids of the lines read, the number of lines read,
+    and the lines left for the line loop.  When every window was read,
+    `ends` is an ``array("i")`` of 4-byte ints and `rest` is empty.
+    Otherwise `rest` starts at the first window that failed a check and
+    runs to the end of the input, and `ends` is a list the line loop
+    extends.
+    """
+    ids: dict[str, int] = {}
+    table: dict[int, int] = {}  # vertex value -> id
+    ends = array("i")
+    lineno = 0
+    top = True
+    while window := lines.read(_READ_WINDOW):
+        if window[-1] != "\n":
+            window += lines.readline()
+        if top:
+            head = _HEAD.match(window).end()
+            lineno += window.count("\n", 0, head)
+            window = window[head:]
+            if not window:
+                continue
+            top = False
+        values = _decimal_pairs(window)
+        if values is None:
+            return ids, ends.tolist(), lineno, chain(io.StringIO(window), lines)
+        ends.frombytes(_ids(values, table, ids).tobytes())
+        lineno += len(values) // 2
+    return ids, ends, lineno, ()
+
+
+def _decimal_pairs(window: str) -> np.ndarray | None:
+    """The int64 values of the tokens of `window`, a run of whole lines,
+    when every line holds two canonical decimals below 10**18; else None."""
+    if not window.isascii():
+        return None
+    data = window.encode("ascii")
+    if data.translate(None, _DECIMAL_TEXT):
+        return None
+    # padded so that every token has a non-digit on both sides and the last line an LF
+    chars = np.frombuffer(b" " + data + (b"" if data[-1:] == b"\n" else b"\n"), np.uint8)
+    digit = chars >= 48  # every byte left above the whitespace is a digit
+    bounds = np.flatnonzero(digit[1:] != digit[:-1]) + 1
+    start, length = bounds[0::2], bounds[1::2] - bounds[0::2]
+    newline = np.flatnonzero(chars == 10)
+    # each line's two tokens start before its LF, and the next line's first after it
+    if not (len(start) == 2 * len(newline) and (start[1::2] < newline).all() and (start[2::2] > newline[:-1]).all()):
+        return None
+    if length.max() > 18 or ((chars[start] == 48) & (length > 1)).any():  # too long, or a leading zero
+        return None
+    values = np.fromstring(data, np.int64, sep=" ")
+    return values if len(values) == len(start) else None
+
+
+def _ids(values: np.ndarray, table: dict[int, int], ids: dict[str, int]) -> np.ndarray:
+    """The vertex ids of `values`, as int32.  Values not in `table` are
+    numbered from ``len(ids)`` in order of first appearance and join
+    `table`, and their names ``str(value)`` join `ids`."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    keys = distinct.tolist()
+    found = np.fromiter(map(table.get, keys, repeat(-1)), np.int32, len(keys))
+    new = np.flatnonzero(found < 0)
+    if len(new):
+        first = np.full(len(keys), len(values))
+        np.minimum.at(first, inverse, np.arange(len(values)))
+        new = new[np.argsort(first[new])]
+        fresh = range(len(ids), len(ids) + len(new))
+        found[new] = fresh
+        new_keys = [keys[i] for i in new.tolist()]
+        table.update(zip(new_keys, fresh))
+        ids.update(zip(map(str, new_keys), fresh))
+    return found[inverse]
 
 
 def assemble(
-    n: int, ends: list[int]
+    n: int, ends: "array | list[int]"
 ) -> tuple[tuple[tuple[int, ...], ...], int, tuple[np.ndarray, np.ndarray]]:
     """The adjacency, self-loop count and CSR arrays of the graph on `n`
     vertices whose edges `ends` lists pairwise, loops and repeats included.
 
-    `ends` is emptied once it is converted.  Each edge gives the keys
+    `ends` is a list or ``read_edge_lines``' ``array("i")``, emptied
+    once it is converted.  Each edge gives the keys
     ``u * n + v`` and ``v * n + u``; sorted, with adjacent repeats
     dropped, they list every row's neighbors in order, so the keys modulo
     n are the CSR indices.  The neighbor tuples are built in row batches
     from one list of the n vertex ids, so that they share its int objects.
     """
-    pairs = np.fromiter(ends, np.int32, len(ends))
-    ends.clear()
+    pairs = np.fromiter(ends, np.int32, len(ends)) if isinstance(ends, list) else np.array(ends, np.int32)
+    del ends[:]
     u, v = pairs[0::2], pairs[1::2]
     half = len(u)
     key_type = np.int32 if n * n < 2**31 else np.int64

@@ -57,7 +57,7 @@ def load_graph(ref: str) -> tuple[Graph, LoadReport, str]:
         return graph, report, ref
     path = Path(ref)
     loader = load_gml if path.suffix.lower() == ".gml" else load_edge_list
-    with path.open(encoding="utf-8") as source:  # an edge list is read line by line, never held whole
+    with path.open(encoding="utf-8") as source:  # an edge list is read in windows, never held whole
         graph, report = loader(source)
     return graph, report, path.name
 

@@ -31,7 +31,26 @@ two-way ``u * n + v`` keys, then the CSR arrays, which the graph keeps
 as its ``csr``, and the neighbor tuples from them, whose entries are the
 one int object of each vertex id, as on the Python path.  Either way the
 tuples are sorted, duplicate-free and symmetric by construction, so the
-loaders build their Graph without validating it again.  GML is read by
+loaders build their Graph without validating it again.
+
+An edge list that could hold ``ARRAY_MIN_EDGES`` lines, by the length of
+its text or the size of its file, known before reading, is read in
+numpy while its vertex tokens are decimal integers
+(``_arrays.read_edge_lines``), and assembled in numpy.  It is taken in
+windows of ``_arrays._READ_WINDOW`` characters cut after a line end, so
+the reader's temporary arrays stay a few MiB whatever the input's size.
+Blank and comment lines at the top are skipped; every other window is
+read in numpy only when it is ASCII, holds only digits, space, tab, CR
+and LF, and each of its lines holds two canonical decimals below 10**18,
+with no leading zero, so that ``str(value)`` is the token.  The values
+become ids through one value-to-id table, and the endpoint ids one
+``array("i")`` of 4-byte ints, which assembly converts in one copy.  The
+first window that fails a check, and every window after it, goes to the
+line loop, which continues from the same ids and line count, so both
+give the same graph, report and errors.  A smaller edge list never
+imports numpy.
+
+GML is read by
 one regex scan, token by token, except for runs of node and edge blocks
 right inside the graph block whose first block holds only key/value
 scalars (``node [ id 5 label "x" value 1 ]``, ``edge [ source 5 target
@@ -41,13 +60,15 @@ over its tokens, and read only when every block has the first one's
 keys and reads as the scan would read it.  The scan resumes after the
 window; one that fails a check is scanned like the rest of the file, so
 both give the same graph, report and errors.  Both loaders take text or
-an open file; the edge-list loader reads a file line by line, so the
-CLI never holds an edge-list file whole.
+an open file, and read text as a file opened in text mode reads it, each
+CRLF and lone CR as an LF.  The edge-list loader reads a file in windows
+or line by line, so the CLI never holds an edge-list file whole.
 """
 
 from __future__ import annotations
 
 import io
+import os
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -58,19 +79,22 @@ from typing import Iterator, NoReturn, Sequence, TextIO
 # Passes over every edge of a graph with at least this many edges run in
 # numpy, in the _arrays module, when numpy is installed: the adjacency's
 # assembly at load (counted in edge lines, as m is not known before
-# deduplication), the synchronous and semi-synchronous propagation steps,
-# the list of same-label edges (same_label_edges) and community
-# extraction.  Below it the arrays' saving does not repay importing numpy
-# (about 0.16 s and 10-14 MiB): at 150k edges a fresh-process `run` took
-# the same time either way under sync Max, which stops after one step,
-# and less with the kernel under semi-sync Prec-Max and random.
+# deduplication; for an edge list, in the lines its size could hold, as it
+# is then also read in numpy), the synchronous and semi-synchronous
+# propagation steps, the list of same-label edges (same_label_edges) and
+# community extraction.  Below it the arrays' saving does not repay
+# importing numpy (about 0.16 s and 10-14 MiB): at 150k edges a
+# fresh-process `run` took the same time either way under sync Max, which
+# stops after one step, and less with the kernel under semi-sync Prec-Max
+# and random.
 ARRAY_MIN_EDGES = 150_000
 
 
 def _arrays_for(size: int):
-    """The _arrays module when `size` (edges or edge lines) reaches
-    ARRAY_MIN_EDGES and numpy imports, else None: the caller then runs
-    its Python loop, which is also the array pass's test oracle."""
+    """The _arrays module when `size` (edges, edge lines, or the edge lines
+    an input could hold) reaches ARRAY_MIN_EDGES and numpy imports, else
+    None: the caller then runs its Python loop, which is also the array
+    pass's test oracle."""
     if size < ARRAY_MIN_EDGES:
         return None
     try:
@@ -266,23 +290,26 @@ class Graph:
 
 
 def _assemble(
-    names: list[str], ends: list[int], *, symmetrized: bool = False, weights_ignored: bool = False
+    names: list[str], ends, arrays, *, symmetrized: bool = False, weights_ignored: bool = False
 ) -> tuple[Graph, LoadReport]:
     """Build the Graph of the edges listed pairwise in ``ends``, and its report.
 
     ``ends`` holds two endpoint ids per edge line or block, self-loops and
-    parallel edges included; it is emptied, to free it before the neighbor
-    tuples are built.  Self-loops are counted and dropped.  A
+    parallel edges included: a list, or the edge-list reader's
+    ``array("i")``, which is emptied to free it before the neighbor tuples
+    are built.
+    Self-loops are counted and dropped.  A
     parallel edge lands in its endpoints' neighbor lists again but not in
     their sets, so every non-loop pair beyond the m edges is a duplicate.
-    Large inputs are assembled in numpy (see the module docstring); this
-    Python loop is its test oracle.  The result is trusted: its tuples are
+    `arrays` is the _arrays module when the loader chose numpy
+    (``_arrays_for``), which assembles in numpy (see the module
+    docstring); else None, and this Python loop, its test oracle, runs.
+    The result is trusted: its tuples are
     sorted, duplicate-free and symmetric by construction.
     """
     if not names:
         raise GraphParseError("empty graph: no vertices found")
     lines = len(ends) // 2
-    arrays = _arrays_for(lines)
     if arrays is not None:
         adjacency, self_loops, csr = arrays.assemble(len(names), ends)
     else:
@@ -311,24 +338,49 @@ def _assemble(
     return graph, report
 
 
+def _universal_newlines(text: str) -> str:
+    """`text` with each CRLF and lone CR made an LF, as a file opened in
+    text mode reads it; text without a CR is returned as it is."""
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
 def load_edge_list(source: "str | TextIO") -> tuple[Graph, LoadReport]:
     """Parse edge-list text into a Graph plus its normalization report.
 
     Each non-empty, non-``#`` line must hold exactly two whitespace
     separated vertex tokens.  Tokens become dense ids in first-appearance
-    order; the original tokens are retained as ``external_names``.
+    order; the original tokens are retained as ``external_names``.  Lines
+    end at LF: text is read as a file opened in text mode reads it, with
+    each CRLF and lone CR taken as an LF, and an open file should end its
+    lines at LF too, as text mode's default newline handling makes it.
+
+    An input that could hold ``ARRAY_MIN_EDGES`` edge lines, by its length
+    or its file's size, is read in numpy while its vertex tokens are
+    decimal integers (``_arrays.read_edge_lines``); this line loop reads
+    the rest, and everything else.
 
     Raises:
         GraphParseError: a line does not hold exactly two tokens, or the
             input contains no vertices at all.
     """
+    if isinstance(source, str):
+        source = _universal_newlines(source)
+        size, lines = len(source), io.StringIO(source)
+    else:
+        lines = source
+        try:
+            size = os.fstat(source.fileno()).st_size
+        except (OSError, ValueError):  # not a file (io.UnsupportedOperation is both)
+            size = 0
+    # An edge line takes at least 4 characters ("1 2\n", the last line 3).
+    arrays = _arrays_for((size + 1) // 4)
     ids: dict[str, int] = {}
+    ends: list = []
+    lineno = 0
+    if arrays is not None:
+        ids, ends, lineno, lines = arrays.read_edge_lines(lines)
     vertex = ids.setdefault
-    ends: list[int] = []
-    # A file is read line by line.  Text is wrapped in a StringIO, whose
-    # buffer takes 4 bytes a character; only the loop holds it, so it is
-    # freed before the graph is built.
-    for lineno, raw in enumerate(io.StringIO(source) if isinstance(source, str) else source, 1):
+    for lineno, raw in enumerate(lines, lineno + 1):
         parts = raw.split()
         if not parts or parts[0][0] == "#":
             continue
@@ -337,7 +389,9 @@ def load_edge_list(source: "str | TextIO") -> tuple[Graph, LoadReport]:
                 f"expected two vertex tokens, got {len(parts)}", line=lineno
             )
         ends += vertex(parts[0], len(ids)), vertex(parts[1], len(ids))
-    return _assemble(list(ids), ends)
+    # A StringIO's buffer takes 4 bytes a character: free it before the graph is built.
+    del source, lines
+    return _assemble(list(ids), ends, arrays)
 
 
 # --- GML subset -----------------------------------------------------------
@@ -471,7 +525,7 @@ def load_gml(source: "str | TextIO") -> tuple[Graph, LoadReport]:
     any window of a run that it would read differently, so the result is
     the scan's.
     """
-    text = source if isinstance(source, str) else source.read()
+    text = _universal_newlines(source) if isinstance(source, str) else source.read()
     tokens = _GML_TOKEN.finditer(text)
 
     def line(pos: int) -> int:
@@ -582,4 +636,4 @@ def load_gml(source: "str | TextIO") -> tuple[Graph, LoadReport]:
             if end not in id_to_vertex:
                 raise GraphParseError(f"edge references undeclared node {end}", line=line(at))
         ends += id_to_vertex[src], id_to_vertex[dst]
-    return _assemble(names, ends, symmetrized=directed, weights_ignored=weights_seen)
+    return _assemble(names, ends, _arrays_for(len(ends) // 2), symmetrized=directed, weights_ignored=weights_seen)

@@ -226,7 +226,8 @@ def edge_list_oracle(source: "str | TextIO") -> tuple:
         OracleParseError: the document is rejected.
     """
     acc = _EdgeAccumulator()
-    for lineno, raw in enumerate(io.StringIO(source) if isinstance(source, str) else source, 1):
+    # newline=None: a str reads as a file opened in text mode, CRLF and lone CR as LF
+    for lineno, raw in enumerate(io.StringIO(source, newline=None) if isinstance(source, str) else source, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -254,7 +255,7 @@ def edge_list_oracle(source: "str | TextIO") -> tuple:
 
 def _gml_tokenize(source: "str | TextIO") -> Iterator[tuple[str, str, int]]:
     """Yield (kind, text, line) with kind in {'atom', 'string', 'open', 'close'}."""
-    stream = io.StringIO(source) if isinstance(source, str) else source
+    stream = io.StringIO(source, newline=None) if isinstance(source, str) else source  # CR and CRLF read as LF
     for lineno, raw in enumerate(stream, start=1):
         rest = raw
         while rest:

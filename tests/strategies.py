@@ -227,3 +227,41 @@ def edge_list_graphs(draw) -> str:
         for tokens in lines
     )
     return text + draw(st.sampled_from(["", "\n"]))
+
+
+# Canonical decimals, which the numpy edge-list reader reads, and names it
+# leaves to the line loop: leading zeros (007 and 7 are two names), 19 and
+# 20 digits (10**18 and beyond), and names that are not numbers.
+DECIMAL_NAMES = ["0", "1", "2", "3", "7", "10", "42", "123456789012345678", "999999999999999999"]
+ODD_DECIMAL_NAMES = ["00", "007", "1000000000000000000", "18446744073709551616", "a", "é", "x#y"]
+DECIMAL_SEPARATORS = [" ", " ", " ", "  ", "\t", " \t", "\x0c", "\xa0", "　"]
+
+
+@st.composite
+def decimal_edge_lists(draw) -> str:
+    """Edge lists of mostly canonical decimal names, with blank and comment
+    lines at the top and in the middle, CRLF, tabs and trailing spaces, now
+    and then a name the reader leaves to the line loop, a form feed or
+    non-ASCII separator, a line of 1 or 3 tokens, and maybe no final LF."""
+    names = st.sampled_from(DECIMAL_NAMES * 8 + ODD_DECIMAL_NAMES)
+    kinds = st.sampled_from(["edge"] * 12 + ["blank", "comment", "short", "long"])
+    lines = [draw(st.sampled_from([(), ("#", "header"), ("#1", "2"), (" ",)])) for _ in range(draw(st.integers(0, 2)))]
+    for kind in draw(st.lists(kinds, max_size=24)):
+        if kind == "edge":
+            lines.append((draw(names), draw(names)))
+        elif kind == "comment":
+            lines.append(draw(st.sampled_from([("#",), ("#", "1", "2"), ("#7", "8")])))
+        elif kind == "short":
+            lines.append((draw(names),))
+        elif kind == "long":
+            lines.append((draw(names), draw(names), draw(names)))
+        else:
+            lines.append(())
+    sep = st.sampled_from(DECIMAL_SEPARATORS)
+    ends = st.sampled_from(["\n"] * 6 + ["\r\n", "\r"])
+    text = "".join(
+        draw(st.sampled_from(["", "", " "])) + draw(sep).join(tokens) + draw(st.sampled_from(["", "", " ", "\t"]))
+        + draw(ends)
+        for tokens in lines
+    )
+    return text[:-1] if text and draw(st.booleans()) and text[-1] == "\n" else text

@@ -18,6 +18,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from io import StringIO
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 pytest.importorskip("numpy")
 
 import labelprop
-from labelprop import _arrays, graphs, propagation
+from labelprop import _arrays, cli, graphs, propagation
 from labelprop.coloring import Coloring, greedy_color
 from labelprop.graphs import Graph, GraphParseError, load_edge_list, load_gml
 from labelprop.partition import extract_communities
@@ -43,7 +44,7 @@ from labelprop.propagation import (
 
 from helpers import dump_edge_list
 from oracles import random_graph, reference_f
-from strategies import edge_list_documents, edge_list_graphs, gml_documents
+from strategies import decimal_edge_lists, edge_list_documents, edge_list_graphs, gml_documents
 
 STAGED_TIMINGS = [TimingModel.SYNCHRONOUS, TimingModel.SEMI_SYNCHRONOUS]
 
@@ -255,6 +256,114 @@ def test_gml_assembly_matches_python(text, batch):
     assert_assembly_matches_python(load_gml, text, batch)
 
 
+def _edge_list_outcome(source):
+    """What load_edge_list gives: its graph's names, adjacency and m and its
+    report, or its error's message and line."""
+    try:
+        g, report = load_edge_list(source)
+    except GraphParseError as err:
+        return ("error", str(err), err.line)
+    return ("graph", g.external_names, g.adjacency, g.m, report)
+
+
+@settings(max_examples=400, deadline=None)
+@given(decimal_edge_lists(), st.sampled_from([1, 2, 7, _arrays._READ_WINDOW]))
+def test_edge_list_reader_matches_line_loop(text, window):
+    # a str and a StringIO, whose lines end at LF alone, each against the
+    # line loop on the same source
+    for make in (lambda: text, lambda: StringIO(text)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "ARRAY_MIN_EDGES", sys.maxsize)
+            expected = _edge_list_outcome(make())
+            mp.setattr(graphs, "ARRAY_MIN_EDGES", 0)
+            mp.setattr(_arrays, "_READ_WINDOW", window)
+            assert _edge_list_outcome(make()) == expected
+
+
+@pytest.mark.parametrize("window", [1, 2, 7, 1 << 18])
+def test_reader_reads_decimal_lines_in_numpy(monkeypatch, window):
+    monkeypatch.setattr(_arrays, "_READ_WINDOW", window)
+    # the header, blank and comment lines at the top, does not send a window to the line loop
+    text = "# header\n\n  # more\n5 3\n3\t0 \r\n0 5\n18 5"
+    ids, ends, lineno, rest = _arrays.read_edge_lines(StringIO(text))
+    assert (ids, ends.typecode, ends.itemsize) == ({"5": 0, "3": 1, "0": 2, "18": 3}, "i", 4)
+    assert ends.tolist() == [0, 1, 1, 2, 2, 0, 3, 0]
+    assert (lineno, rest) == (7, ())
+
+
+def test_reader_hands_the_failing_window_and_the_rest_to_the_line_loop(monkeypatch):
+    monkeypatch.setattr(_arrays, "_READ_WINDOW", 4)
+    ids, ends, lineno, rest = _arrays.read_edge_lines(StringIO("5 3\n3 x\n7 5\n"))
+    assert (ids, ends, lineno, list(rest)) == ({"5": 0, "3": 1}, [0, 1], 1, ["3 x\n", "7 5\n"])
+
+
+@pytest.mark.parametrize("window", [
+    "0 1\n", "123456789012345678 999999999999999999\n", "1\t2 \r\n", "1 2", " 1  2\n3 4\n",
+])
+def test_decimal_pairs_reads_canonical_decimals(window):
+    assert _arrays._decimal_pairs(window).tolist() == [int(token) for token in window.split()]
+
+
+@pytest.mark.parametrize("window", [
+    "00 1\n", "007 7\n", "1000000000000000000 1\n", "18446744073709551616 1\n", "1 2 3\n", "1\n",
+    "1 2\n\n", "1 2\n3\n", "1 2 3\n4\n", "\n", "1\x0c2\n", "1\xa02\n", "1\u30002\n", "# 1\n", "-1 2\n",
+    "+1 2\n", "1 2\x1c\n",
+])
+def test_decimal_pairs_leaves_any_other_window_to_the_line_loop(window):
+    assert _arrays._decimal_pairs(window) is None
+
+
+class _RecordedFile:
+    """A text file that records its read and readline calls."""
+
+    def __init__(self, file):
+        self.file, self.calls = file, []
+
+    def fileno(self):
+        return self.file.fileno()
+
+    def read(self, size=-1):
+        self.calls.append(("read", size))
+        return self.file.read(size)
+
+    def readline(self, size=-1):
+        line = self.file.readline(size)
+        self.calls.append(("readline", len(line)))
+        return line
+
+    def __iter__(self):
+        return iter(self.file)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+
+def test_a_file_is_read_in_windows_never_whole(tmp_path, monkeypatch):
+    # through cli.load_graph, as a command opens it
+    path = tmp_path / "g.txt"
+    path.write_text("# header\n" + "".join(f"{v} {v * 7 % 1000}\n" for v in range(1000)))
+    opened = []
+
+    class RecordingPath(type(path)):
+        def open(self, *args, **kwargs):
+            opened.append(_RecordedFile(super().open(*args, **kwargs)))
+            return opened[-1]
+
+    expected = cli.load_graph(str(path))[:2]
+    monkeypatch.setattr(cli, "Path", RecordingPath)
+    monkeypatch.setattr(graphs, "ARRAY_MIN_EDGES", 0)
+    monkeypatch.setattr(_arrays, "_READ_WINDOW", 500)
+    g, report, _ = cli.load_graph(str(path))
+    assert (g, report) == expected and "csr" in vars(g)
+    (file,) = opened
+    reads = [size for call, size in file.calls if call == "read"]
+    assert set(reads) == {500} and len(reads) == path.stat().st_size // 500 + 2
+    assert max(size for call, size in file.calls if call == "readline") < 10  # the rest of one line
+
+
 def test_assembly_shares_one_int_per_vertex_and_keys_grow_to_int64():
     # 50,000 vertices: n * n passes 2**31, so the keys take 64 bits
     g = Graph.from_edges(50_000, [(v, v + 1) for v in range(0, 49_999, 7)] + [(0, 49_999), (3, 30_000)])
@@ -361,22 +470,37 @@ def test_without_numpy_run_sweeps(monkeypatch):
 
 _NO_NUMPY_SCRIPT = """
 import contextlib, io, sys
-from labelprop import cli, fixtures
+from labelprop import cli, fixtures, graphs
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["experiment", "karate", "--all-ties", "--both-timings", "--trials", "3"]) == 0
     for name in fixtures.names():
         for timing in ("sync", "async", "semi-sync"):
             assert cli.main(["run", name, "--timing", timing, "--tie", "max", "--stop", "c2"]) in (0, 2)
         assert cli.main(["info", name]) == 0
+# An integer edge list one byte too small to hold ARRAY_MIN_EDGES lines of
+# 4 characters (the last one 3): it is read by the line loop.
+path = sys.argv[1]
+size = 4 * graphs.ARRAY_MIN_EDGES - 2
+text = "".join(f"{v} {v + 1}\\n" for v in range(size // 8))
+text = text[:text.rindex("\\n", 0, size - 1)].ljust(size - 1) + "\\n"  # trailing spaces on the last line
+with open(path, "w") as out:
+    out.write(text)
+m = text.count("\\n")
+assert cli.load_graph(path)[0].m == m
 assert "numpy" not in sys.modules, "numpy was imported"
+with open(path, "a") as out:  # one more byte, and it is read in numpy
+    out.write(" ")
+assert cli.load_graph(path)[0].m == m
+assert "labelprop._arrays" in sys.modules
 """
 
 
-def test_fixtures_never_import_numpy():
-    # fixture-sized graphs stay below the arrays' threshold: importing numpy
-    # would cost them more time and memory than the arrays save
+def test_fixtures_never_import_numpy(tmp_path):
+    # fixture-sized graphs and edge-list files too small to hold
+    # ARRAY_MIN_EDGES lines stay below the arrays' threshold: importing
+    # numpy would cost them more time and memory than the arrays save
     src = str(Path(labelprop.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", _NO_NUMPY_SCRIPT], env=env,
+    done = subprocess.run([sys.executable, "-c", _NO_NUMPY_SCRIPT, str(tmp_path / "g.txt")], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

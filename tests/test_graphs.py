@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from helpers import dump_edge_list
 from strategies import edge_list_documents, edge_list_graphs, gml_documents, gml_runs
 
-from labelprop import fixtures, graphs
+from labelprop import cli, fixtures, graphs
 from labelprop.graphs import (
     Graph,
     GraphParseError,
@@ -167,8 +167,12 @@ def _load_edge_list_summary(source):
 
 
 def assert_edge_list_matches_oracle(text):
+    # a str reads as a file opened in text mode (newline=None) reads it; a
+    # StringIO of the default newline="\n" ends lines at LF alone
     expected = _load_outcome(oracles.edge_list_oracle, text)
     assert _load_outcome(_load_edge_list_summary, text) == expected
+    assert _load_outcome(_load_edge_list_summary, StringIO(text, newline=None)) == expected
+    expected = _load_outcome(oracles.edge_list_oracle, StringIO(text))
     assert _load_outcome(_load_edge_list_summary, StringIO(text)) == expected
 
 
@@ -176,6 +180,18 @@ def assert_edge_list_matches_oracle(text):
 @given(st.one_of(edge_list_documents, edge_list_graphs()))
 def test_edge_list_matches_reference_loader(text):
     assert_edge_list_matches_oracle(text)
+
+
+@pytest.mark.parametrize("load, text", [
+    (load_edge_list, "a b\rc d\n"),
+    (load_edge_list, "1 2\r\n2 3\r3 4 5\n"),  # the error's line counts the lone CR
+    (load_gml, "graph [ # c\rnode [ id 1 ] ]"),
+    (load_gml, "graph [\r\nnode [ id 1 ]\rnode [ ]\n]"),
+])
+def test_text_splits_lines_as_a_file_does(tmp_path, load, text):
+    path = tmp_path / ("g.gml" if load is load_gml else "g.txt")
+    path.write_bytes(text.encode())
+    assert _load_outcome(load, text) == _load_outcome(lambda ref: cli.load_graph(ref)[:2], str(path))
 
 
 def test_edge_list_repeats_count_as_duplicates():
@@ -376,8 +392,11 @@ def _load_gml_summary(source):
 
 
 def assert_gml_matches_oracle(text):
+    # as assert_edge_list_matches_oracle: a str reads as a text-mode file
     expected = _load_outcome(oracles.gml_oracle, text)
     assert _load_outcome(_load_gml_summary, text) == expected
+    assert _load_outcome(_load_gml_summary, StringIO(text, newline=None)) == expected
+    expected = _load_outcome(oracles.gml_oracle, StringIO(text))
     assert _load_outcome(_load_gml_summary, StringIO(text)) == expected
 
 
