@@ -7,7 +7,10 @@ run, and that the tests use as its reference: ``read_edge_lines`` reads
 an edge list whose vertex tokens are decimal integers
 (``graphs.load_edge_list``'s line loop, which is also its fallback),
 ``assemble`` builds a
-loader's adjacency (``graphs._assemble``), ``step`` is one synchronous or
+loader's adjacency as CSR arrays (``graphs._assemble``), from which
+``adjacency`` builds the neighbor tuples at their first read and
+``rows`` reads the rows greedy coloring takes while the tuples are not
+built (``graphs.neighbor_rows``), ``step`` is one synchronous or
 semi-synchronous step (``propagation._sweep``, which takes the same
 arguments and returns the same tuple),
 ``same_label_edges`` lists the edges whose endpoints share a label
@@ -174,18 +177,16 @@ def _ids(values: np.ndarray, table: dict[int, int], ids: dict[str, int]) -> np.n
     return found[inverse]
 
 
-def assemble(
-    n: int, ends: "array | list[int]"
-) -> tuple[tuple[tuple[int, ...], ...], int, tuple[np.ndarray, np.ndarray]]:
-    """The adjacency, self-loop count and CSR arrays of the graph on `n`
-    vertices whose edges `ends` lists pairwise, loops and repeats included.
+def assemble(n: int, ends: "array | list[int]") -> tuple[int, tuple[np.ndarray, np.ndarray]]:
+    """The self-loop count and CSR arrays of the graph on `n` vertices
+    whose edges `ends` lists pairwise, loops and repeats included.
 
     `ends` is a list or ``read_edge_lines``' ``array("i")``, emptied
     once it is converted.  Each edge gives the keys
     ``u * n + v`` and ``v * n + u``; sorted, with adjacent repeats
     dropped, they list every row's neighbors in order, so the keys modulo
-    n are the CSR indices.  The neighbor tuples are built in row batches
-    from one list of the n vertex ids, so that they share its int objects.
+    n are the CSR indices.  No neighbor tuple is built: the graph builds
+    them from the CSR at their first read (``adjacency``).
     """
     pairs = np.fromiter(ends, np.int32, len(ends)) if isinstance(ends, list) else np.array(ends, np.int32)
     del ends[:]
@@ -214,16 +215,35 @@ def assemble(
         del new
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=key_type) * n).astype(np.int64, copy=False)
     np.remainder(keys, n, out=keys)
-    indices = keys.astype(np.int32, copy=False)
-    ids = list(range(n))
-    adjacency: list[tuple[int, ...]] = []
-    for batch, _, neighbor in _rows(indptr, indices, np.arange(n, dtype=np.int32)):
-        entries = neighbor.tolist()
+    return self_loops, (indptr, keys.astype(np.int32, copy=False))
+
+
+def adjacency(csr: tuple[np.ndarray, np.ndarray]) -> tuple[tuple[int, ...], ...]:
+    """The neighbor tuples of the CSR rows, built in row batches from one
+    list of the n vertex ids, so that they share its int objects."""
+    indptr, indices = csr
+    ids = list(range(len(indptr) - 1))
+    tuples: list[tuple[int, ...]] = []
+    for entries, bounds in _row_lists(indptr, indices, np.arange(len(ids), dtype=np.int32)):
         # itemgetter returns a tuple for two or more items, which slices into tuples
         row_ids = itemgetter(*entries)(ids) if len(entries) > 1 else tuple(ids[i] for i in entries)
-        bounds = (indptr[batch[0]:batch[-1] + 2] - indptr[batch[0]]).tolist()
-        adjacency.extend([row_ids[a:b] for a, b in zip(bounds, bounds[1:])])
-    return tuple(adjacency), self_loops, (indptr, indices)
+        tuples.extend([row_ids[a:b] for a, b in zip(bounds, bounds[1:])])
+    return tuple(tuples)
+
+
+def rows(csr: tuple[np.ndarray, np.ndarray], vertices: Sequence[int]) -> Iterator[list[int]]:
+    """The neighbor ids of each of `vertices` in turn, as lists read from
+    the CSR rows in batches (``graphs.neighbor_rows``)."""
+    for entries, bounds in _row_lists(*csr, np.fromiter(vertices, np.int32, len(vertices))):
+        yield from map(entries.__getitem__, map(slice, bounds, bounds[1:]))
+
+
+def _row_lists(indptr: np.ndarray, indices: np.ndarray, vertices: np.ndarray) -> Iterator[tuple[list[int], list[int]]]:
+    """Yield (entries, bounds) per batch of ``_rows``: the neighbor ids of
+    its rows as one list, and the offsets where each row starts in it,
+    then its end."""
+    for batch, _, neighbor in _rows(indptr, indices, vertices):
+        yield neighbor.tolist(), [0, *np.cumsum(indptr[batch + 1] - indptr[batch]).tolist()]
 
 
 def _label_array(labels: Sequence) -> np.ndarray:

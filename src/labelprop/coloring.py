@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, same_label_edges
+from .graphs import Graph, neighbor_rows, same_label_edges
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,14 @@ def greedy_color(graph: Graph, order: "list[int] | tuple[int, ...]") -> Coloring
 
     The result is proper and uses at most ``graph.max_degree() + 1``
     colors.  Identical (graph, order) inputs produce identical colorings.
+    The rows are the neighbor tuples when the graph has built them, else
+    read from its CSR (``graphs.neighbor_rows``), so that a one-shot
+    coloring of a loaded graph does not build the tuples.
     """
     _check_permutation(order, graph.n, "order")
     color_of = [-1] * graph.n
-    for v in order:
-        used = {color_of[u] for u in graph.adjacency[v] if color_of[u] >= 0}
+    for v, row in zip(order, neighbor_rows(graph, order)):
+        used = set(map(color_of.__getitem__, row))  # a -1 (uncolored) is never searched for
         c = 0
         while c in used:
             c += 1

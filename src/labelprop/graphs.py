@@ -27,11 +27,15 @@ set; the flat list, and each neighbor list once its tuple is built, are
 freed before the whole adjacency is done.  With at least
 ``ARRAY_MIN_EDGES`` edge lines and numpy installed, the adjacency is
 built in numpy instead (see ``_arrays.assemble``): one sort of the
-two-way ``u * n + v`` keys, then the CSR arrays, which the graph keeps
-as its ``csr``, and the neighbor tuples from them, whose entries are the
-one int object of each vertex id, as on the Python path.  Either way the
-tuples are sorted, duplicate-free and symmetric by construction, so the
-loaders build their Graph without validating it again.
+two-way ``u * n + v`` keys gives the CSR arrays, which are all the graph
+keeps, as its ``csr``.  Its neighbor tuples are built from them the
+first time ``adjacency`` is read (``_arrays.adjacency``), with entries
+that are the one int object of each vertex id, as on the Python path,
+and kept; the passes over all the edges, greedy coloring
+(``neighbor_rows``) and ``Graph.degree`` read the CSR instead, so a
+one-shot sync or semi-sync run never builds them.  Either way the adjacency is sorted,
+duplicate-free and symmetric by construction, so the loaders build
+their Graph without validating it again.
 
 An edge list that could hold ``ARRAY_MIN_EDGES`` lines, by the length of
 its text or the size of its file, known before reading, is read in
@@ -74,7 +78,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterator, NoReturn, Sequence, TextIO
+from typing import Iterable, Iterator, NoReturn, Sequence, TextIO
 
 # Passes over every edge of a graph with at least this many edges run in
 # numpy, in the _arrays module, when numpy is installed: the adjacency's
@@ -163,6 +167,13 @@ class Graph:
     reads.  The constructor validates simplicity and symmetry, so every
     Graph in circulation satisfies the representation invariants; only
     the loaders, whose adjacency holds them by construction, skip it.
+
+    A loader that assembles in numpy stores only the CSR arrays (``csr``);
+    the neighbor tuples are built from them the first time ``adjacency``
+    is read, and kept.  Two threads that read it first at once may both
+    build them; the tuples are equal, and one set is kept.  Equality,
+    hashing and repr read ``adjacency``, so they build the tuples too, and
+    agree with those of a graph built in Python.
     """
 
     n: int
@@ -211,24 +222,38 @@ class Graph:
                 if v not in sets[u]:
                     raise ValueError(f"edge {{{u}, {v}}} not symmetric")
 
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks: the neighbor
+        # tuples of a graph that _trusted gave its CSR arrays instead.
+        if name != "adjacency" or "csr" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        from . import _arrays
+
+        adjacency = _arrays.adjacency(self.csr)
+        object.__setattr__(self, "adjacency", adjacency)
+        return adjacency
+
     @classmethod
     def _trusted(
         cls,
         n: int,
         m: int,
-        adjacency: tuple[tuple[int, ...], ...],
+        adjacency: "tuple[tuple[int, ...], ...] | None",
         external_names: tuple[str, ...] | None,
         csr=None,
     ) -> "Graph":
         """A Graph built without validation, from an adjacency that is
-        valid by construction; `csr`, when given, is kept as its csr."""
+        valid by construction: its neighbor tuples, or None and its `csr`,
+        from which the tuples are built at their first read."""
         graph = cls.__new__(cls)
         # Set as the generated __init__ sets them: writing __dict__ directly
-        # would slow every later attribute load on the instance.
-        for name, value in (("n", n), ("m", m), ("adjacency", adjacency), ("external_names", external_names)):
-            object.__setattr__(graph, name, value)
-        if csr is not None:
-            object.__setattr__(graph, "csr", csr)  # shadows the cached_property
+        # would slow every later attribute load on the instance.  A None is
+        # left unset: external_names keeps its class default, adjacency is
+        # built at first read, and a csr shadows the cached_property.
+        for name, value in (("n", n), ("m", m), ("adjacency", adjacency), ("external_names", external_names),
+                            ("csr", csr)):
+            if value is not None:
+                object.__setattr__(graph, name, value)
         return graph
 
     @classmethod
@@ -271,10 +296,18 @@ class Graph:
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:
             raise IndexError(f"vertex {v} out of range [0, {self.n})")
-        return len(self.adjacency[v])
+        adjacency = self.__dict__.get("adjacency")
+        if adjacency is None:  # read from the CSR, not to build the tuples
+            indptr = self.csr[0]
+            return int(indptr[v + 1] - indptr[v])
+        return len(adjacency[v])
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self.adjacency), default=0)
+        adjacency = self.__dict__.get("adjacency")
+        if adjacency is None:  # read from the CSR, not to build the tuples
+            indptr = self.csr[0]
+            return int((indptr[1:] - indptr[:-1]).max(initial=0))
+        return max(map(len, adjacency), default=0)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in sorted order."""
@@ -289,6 +322,19 @@ class Graph:
         return str(v)
 
 
+def neighbor_rows(graph: Graph, vertices: Sequence[int]) -> Iterable[Sequence[int]]:
+    """The neighbor ids of each of `vertices` in turn: its tuple when the
+    graph's tuples are built, else a list read from the CSR rows in
+    batches (``_arrays.rows``), so that a pass over the rows does not
+    build the tuples."""
+    adjacency = graph.__dict__.get("adjacency")
+    if adjacency is None:
+        from . import _arrays
+
+        return _arrays.rows(graph.csr, vertices)
+    return map(adjacency.__getitem__, vertices)
+
+
 def _assemble(
     names: list[str], ends, arrays, *, symmetrized: bool = False, weights_ignored: bool = False
 ) -> tuple[Graph, LoadReport]:
@@ -296,22 +342,24 @@ def _assemble(
 
     ``ends`` holds two endpoint ids per edge line or block, self-loops and
     parallel edges included: a list, or the edge-list reader's
-    ``array("i")``, which is emptied to free it before the neighbor tuples
-    are built.
+    ``array("i")``, which is emptied to free it before the adjacency is
+    built.
     Self-loops are counted and dropped.  A
     parallel edge lands in its endpoints' neighbor lists again but not in
     their sets, so every non-loop pair beyond the m edges is a duplicate.
     `arrays` is the _arrays module when the loader chose numpy
-    (``_arrays_for``), which assembles in numpy (see the module
-    docstring); else None, and this Python loop, its test oracle, runs.
-    The result is trusted: its tuples are
+    (``_arrays_for``), which builds only the CSR arrays (see the module
+    docstring); else None, and this Python loop, its test oracle, builds
+    the tuples.  The result is trusted: its adjacency is
     sorted, duplicate-free and symmetric by construction.
     """
     if not names:
         raise GraphParseError("empty graph: no vertices found")
     lines = len(ends) // 2
     if arrays is not None:
-        adjacency, self_loops, csr = arrays.assemble(len(names), ends)
+        adjacency = None  # built from the CSR at its first read
+        self_loops, csr = arrays.assemble(len(names), ends)
+        m = int(csr[0][-1]) // 2
     else:
         csr = None
         neigh: list = [[] for _ in names]
@@ -327,7 +375,7 @@ def _assemble(
         for v, a in enumerate(neigh):  # each list is freed as its tuple replaces it
             neigh[v] = tuple(sorted(set(a)))
         adjacency = tuple(neigh)
-    m = sum(map(len, adjacency)) // 2
+        m = sum(map(len, adjacency)) // 2
     graph = Graph._trusted(len(names), m, adjacency, tuple(names), csr)
     report = LoadReport(
         self_loops_dropped=self_loops,

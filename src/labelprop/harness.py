@@ -281,6 +281,10 @@ def run_experiments(settings: list[TestSetting]) -> list[ExperimentSummary]:
     its setting's trials in trial-index order whatever the split.
     """
     resolved = [setting.resolve_network() for setting in settings]
+    for graph, _ in resolved:
+        # Every trial colors or sweeps the graph: build a loaded graph's
+        # neighbor tuples once, here, so that forked children inherit them.
+        graph.adjacency
     jobs = [
         (graph, setting, index)
         for setting, (graph, _) in zip(settings, resolved)

@@ -9,9 +9,11 @@ path, and shrink the batches to a few edges so that a pass spans several
 of them.
 """
 
+import copy
 import inspect
 import itertools
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -28,10 +30,11 @@ from hypothesis import strategies as st
 pytest.importorskip("numpy")
 
 import labelprop
-from labelprop import _arrays, cli, graphs, propagation
-from labelprop.coloring import Coloring, greedy_color
+from labelprop import _arrays, cli, fixtures, graphs, propagation
+from labelprop.coloring import Coloring, color_from_labels, greedy_color
 from labelprop.graphs import Graph, GraphParseError, load_edge_list, load_gml
-from labelprop.partition import extract_communities
+from labelprop.harness import TestSetting, run_experiments
+from labelprop.partition import extract_communities, modularity
 from labelprop.propagation import (
     DecisionRng,
     RunConfig,
@@ -202,25 +205,42 @@ def _python_then_arrays(fn, *args, batch=1 << 14):
         return python, fn(*args)
 
 
+def _pickled(g):
+    return pickle.loads(pickle.dumps(g))
+
+
+# What the tests compare of a freshly loaded graph: the graph itself (for
+# ==), its hash, repr, pickle round trip and deep copy.
+_VIEWS = (lambda g: g, hash, repr, _pickled, copy.deepcopy)
+
+
 def _loaded(load, text):
-    """What a load gives: its graph, report and CSR arrays, whether the
-    loader stored those arrays, or its error."""
+    """What a load gives, or its error: its graph, report and CSR arrays,
+    whether its tuples share one int per vertex id and are kept once read,
+    the _VIEWS of fresh loads of it, and whether the loader stored those arrays and not the
+    neighbor tuples, for this load and each fresh one."""
     try:
         g, report = load(text)
     except GraphParseError as err:
         return ("error", str(err), err.line)
-    stored = "csr" in vars(g)
+    fresh = [load(text)[0] for _ in _VIEWS]
+    stored = [("csr" in vars(f), "adjacency" not in vars(f)) for f in (g, *fresh)]
+    views = [view(f) for view, f in zip(_VIEWS, fresh)]
     Graph(g.n, g.m, g.adjacency, g.external_names)  # the validating constructor accepts it
+    entries = [u for row in g.adjacency for u in row]
+    shared = len({id(u) for u in entries}) == len(set(entries))
+    kept = g.adjacency is g.adjacency
     indptr, indices = g.csr
     arrays = (indptr.tolist(), indices.tolist(), indptr.dtype.name, indices.dtype.name)
-    return ("graph", g.external_names, g.adjacency, g.m, report, arrays, stored)
+    return ("graph", g.external_names, g.adjacency, g.m, report, arrays, shared, kept, views, stored)
 
 
 def assert_assembly_matches_python(load, text, batch=1 << 14):
     python, arrayed = _python_then_arrays(_loaded, load, text, batch=batch)
     if python[0] == "graph":
-        # only the numpy branch stores its arrays; the Python one's come from the tuples
-        assert (python[-1], arrayed[-1]) == (False, True)
+        # only the numpy branch stores its arrays, and builds its tuples at
+        # their first read; the Python one's arrays come from its tuples
+        assert (set(python[-1]), set(arrayed[-1])) == ({(False, False)}, {(True, True)})
         python, arrayed = python[:-1], arrayed[:-1]
     assert arrayed == python
 
@@ -245,15 +265,98 @@ def test_assembly_matches_python_on_edge_cases(load, text, batch):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(edge_list_documents, edge_list_graphs()), st.sampled_from([1, 2, 1 << 14]))
+@given(st.one_of(edge_list_documents, edge_list_graphs()), st.sampled_from([1, 2, 3, 1 << 14]))
 def test_edge_list_assembly_matches_python(text, batch):
     assert_assembly_matches_python(load_edge_list, text, batch)
 
 
 @settings(max_examples=300, deadline=None)
-@given(gml_documents(), st.sampled_from([1, 2, 1 << 14]))
+@given(gml_documents(), st.sampled_from([1, 2, 3, 1 << 14]))
 def test_gml_assembly_matches_python(text, batch):
     assert_assembly_matches_python(load_gml, text, batch)
+
+
+def _never_built(csr):
+    raise AssertionError("the neighbor tuples were built")
+
+
+@pytest.mark.parametrize("name, text", [
+    ("edges.txt", "a b\nb c\nc a\nd d\ne a\nb a\n"),
+    ("lone.txt", "z z\n"),
+    ("pair.gml", "graph [ node [ id 1 ] node [ id 2 ] node [ id 3 ] edge [ source 1 target 2 ] ]"),
+])
+def test_info_reads_degrees_from_the_csr(tmp_path, capsys, monkeypatch, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+
+    def outputs():
+        printed = []
+        for fmt in ("json", "csv", "plot-data"):
+            assert cli.main(["info", str(path), "--format", fmt]) == 0
+            printed.append(capsys.readouterr().out)
+        return printed
+
+    monkeypatch.setattr(graphs, "ARRAY_MIN_EDGES", sys.maxsize)
+    expected = outputs()
+    monkeypatch.setattr(graphs, "ARRAY_MIN_EDGES", 0)
+    monkeypatch.setattr(_arrays, "adjacency", _never_built)
+    assert outputs() == expected
+
+
+def test_a_one_shot_run_leaves_a_loaded_graph_without_tuples(monkeypatch):
+    text = dump_edge_list(Graph.from_edges(60, random_graph(random.Random(5), 60, 0.1)))
+
+    def one_shot():
+        g = load_edge_list(text)[0]
+        coloring = color_from_labels(g, list(range(g.n)))
+        coloring.check_proper(g)
+        outcomes = [coloring]
+        for timing, tie, staged in (
+            (TimingModel.SEMI_SYNCHRONOUS, TieStrategy.PREC_MAX, coloring),
+            (TimingModel.SYNCHRONOUS, TieStrategy.MAX, None),
+        ):
+            state, metrics = run(g, RunConfig(timing=timing, tie=tie), staged)
+            partition = extract_communities(g, state.labels)
+            outcomes.append((_outcome(state, metrics), partition, modularity(g, partition)))
+        return g, outcomes
+
+    monkeypatch.setattr(graphs, "ARRAY_MIN_EDGES", sys.maxsize)
+    expected = one_shot()[1]
+    monkeypatch.setattr(graphs, "ARRAY_MIN_EDGES", 0)
+    g, outcomes = one_shot()
+    assert outcomes == expected
+    assert "adjacency" not in vars(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases(), st.sampled_from([1, 3, 16, 1 << 14]))
+def test_greedy_color_reads_the_csr_rows_as_the_tuples(case, batch):
+    g, _, order = case
+    unbuilt = Graph._trusted(g.n, g.m, None, None, g.csr)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_arrays, "_BATCH_EDGES", batch)
+        assert greedy_color(unbuilt, order) == greedy_color(g, order)
+    assert "adjacency" not in vars(unbuilt)
+
+
+def test_experiments_fork_with_the_tuples_built(monkeypatch):
+    karate = fixtures.load("karate")[0]
+    monkeypatch.setattr(graphs, "ARRAY_MIN_EDGES", 0)
+    g = load_edge_list(dump_edge_list(karate))[0]
+    assert "adjacency" not in vars(g)
+    built = []
+    fork = os.fork
+
+    def spy():
+        built.append("adjacency" in vars(g))
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", spy)
+    setting = TestSetting(timing=TimingModel.SEMI_SYNCHRONOUS, network=g, tie=TieStrategy.PREC_MAX, trials=4)
+    split = run_experiments([setting])
+    assert built == [True]
+    assert split == run_experiments([TestSetting(setting.timing, karate, setting.tie, setting.trials)])
 
 
 def _edge_list_outcome(source):
@@ -365,15 +468,19 @@ def test_a_file_is_read_in_windows_never_whole(tmp_path, monkeypatch):
 
 
 def test_assembly_shares_one_int_per_vertex_and_keys_grow_to_int64():
-    # 50,000 vertices: n * n passes 2**31, so the keys take 64 bits
-    g = Graph.from_edges(50_000, [(v, v + 1) for v in range(0, 49_999, 7)] + [(0, 49_999), (3, 30_000)])
+    # 50,000 vertices: n * n passes 2**31, so the keys take 64 bits; paths
+    # of three put each middle vertex, most of them above the small-int
+    # cache, in two rows
+    paths = [(v, v + 1) for v in range(0, 49_998, 7)] + [(v + 1, v + 2) for v in range(0, 49_998, 7)]
+    g = Graph.from_edges(50_000, paths + [(0, 49_999), (3, 30_000)])
     text = dump_edge_list(g)
     python, arrayed = _python_then_arrays(load_edge_list, text)
-    assert arrayed[0] == python[0] and arrayed[1] == python[1]
     indptr, indices = arrayed[0].csr
     assert (indptr.dtype.name, indices.dtype.name) == ("int64", "int32")
-    entries = [u for a in arrayed[0].adjacency for u in a]
+    assert "adjacency" not in vars(arrayed[0])
+    entries = [u for a in arrayed[0].adjacency for u in a]  # the tuples built at first use
     assert len({id(u) for u in entries}) == len(set(entries))
+    assert arrayed[0] == python[0] and arrayed[1] == python[1]
 
 
 def _label_passes(g, labels, order):
