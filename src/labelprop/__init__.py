@@ -8,7 +8,6 @@ from .harness import (
     TrialResult,
     run_experiment,
     run_experiments,
-    run_trial,
 )
 from .partition import (
     Community,
@@ -57,6 +56,5 @@ __all__ = [
     "run",
     "run_experiment",
     "run_experiments",
-    "run_trial",
     "__version__",
 ]

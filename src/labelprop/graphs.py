@@ -316,11 +316,6 @@ class Graph:
                 if u > v:
                     yield (v, u)
 
-    def name_of(self, v: int) -> str:
-        if self.external_names is not None:
-            return self.external_names[v]
-        return str(v)
-
 
 def neighbor_rows(graph: Graph, vertices: Sequence[int]) -> Iterable[Sequence[int]]:
     """The neighbor ids of each of `vertices` in turn: its tuple when the

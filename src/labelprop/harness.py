@@ -9,6 +9,10 @@ StopCriterion).  One hundred independent trials per setting (the
 protocol's default) give the mean/deviation aggregates used to compare
 quality, timing, and stability across configurations.
 
+A setting's network is a loaded Graph (fixtures.graph, load_edge_list,
+load_gml); resolving a fixture name or a file path is the command line's
+job (cli.load_graph).  A summary names its graph ``graph<n=N>``.
+
 Each trial is a pure function of (graph, setting, trial index), so
 run_experiments splits the trials of all its settings, in setting order
 and then trial order, over w processes, one per usable core: it forks
@@ -48,7 +52,6 @@ __all__ = [
     "MetricSummary",
     "ExperimentSummary",
     "trial_seed",
-    "run_trial",
     "run_experiment",
     "run_experiments",
     "trials_csv",
@@ -65,7 +68,7 @@ class TestSetting:
     __test__ = False  # not a pytest class, despite the name
 
     timing: TimingModel
-    network: "Graph | str"
+    network: Graph
     tie: TieStrategy
     trials: int = 100
     base_seed: int = 0
@@ -74,18 +77,6 @@ class TestSetting:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-
-    def resolve_network(self) -> tuple[Graph, str]:
-        """Return (graph, display name), loading files/fixtures lazily and
-        refusing a graph with no vertices, as the loaders refuse empty files."""
-        if isinstance(self.network, Graph):
-            if not self.network.n:
-                raise ValueError("an experiment needs a graph with vertices; this one has none")
-            return self.network, f"graph<n={self.network.n}>"
-        from .cli import load_graph  # cli imports this module
-
-        graph, _, name = load_graph(self.network)
-        return graph, name
 
 
 @dataclass(frozen=True)
@@ -144,6 +135,9 @@ def trial_seed(base_seed: int, trial_index: int) -> int:
 
 
 def _run_one(graph: Graph, setting: TestSetting, trial_index: int) -> TrialResult:
+    """Run one seeded trial: its initial label permutation is drawn from
+    the derived seed, and a semi-synchronous trial stages by the greedy
+    coloring over increasing initial labels."""
     seed = trial_seed(setting.base_seed, trial_index)
     init = tuple(Stream(mix64(seed, _TAG_INIT)).permutation(graph.n))
     coloring = None
@@ -170,18 +164,6 @@ def _run_one(graph: Graph, setting: TestSetting, trial_index: int) -> TrialResul
         largest_community=stats.largest,
         converged=state.status is RunStatus.CONVERGED,
     )
-
-
-def run_trial(setting: TestSetting, trial_index: int) -> TrialResult:
-    """Run one seeded trial of a setting.
-
-    The trial draws its own initial label permutation from the derived
-    seed; for semi-synchronous timing the stage schedule is the greedy
-    coloring over increasing initial labels, so the schedule varies with
-    the labeling exactly as the protocol prescribes.
-    """
-    graph, _ = setting.resolve_network()
-    return _run_one(graph, setting, trial_index)
 
 
 def _summarize(values: list[float]) -> MetricSummary:
@@ -280,27 +262,30 @@ def run_experiments(settings: list[TestSetting]) -> list[ExperimentSummary]:
     over the usable cores (see the module docstring); each summary lists
     its setting's trials in trial-index order whatever the split.
     """
-    resolved = [setting.resolve_network() for setting in settings]
-    for graph, _ in resolved:
+    for setting in settings:
+        # refused here, as the loaders refuse an empty file
+        if not setting.network.n:
+            raise ValueError("an experiment needs a graph with vertices; this one has none")
         # Every trial colors or sweeps the graph: build a loaded graph's
         # neighbor tuples once, here, so that forked children inherit them.
-        graph.adjacency
+        setting.network.adjacency
     jobs = [
-        (graph, setting, index)
-        for setting, (graph, _) in zip(settings, resolved)
+        (setting.network, setting, index)
+        for setting in settings
         for index in range(setting.trials)
     ]
     results = _run_jobs(jobs)
     summaries = []
     start = 0
-    for setting, (graph, name) in zip(settings, resolved):
+    for setting in settings:
+        graph = setting.network
         trials = results[start:start + setting.trials]
         start += setting.trials
         converged = [r for r in trials if r.converged]
         summaries.append(ExperimentSummary(
             timing=setting.timing,
             tie=setting.tie,
-            network=name,
+            network=f"graph<n={graph.n}>",
             trials=setting.trials,
             base_seed=setting.base_seed,
             modularity=_summarize([r.modularity for r in converged] if graph.m else []),

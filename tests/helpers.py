@@ -1,6 +1,6 @@
-"""Test-only helpers built on the package: a serializer, and a Partition
+"""Test-only helpers built on the package: a serializer, a Partition
 builder that no program path needs and that serves as an extraction
-oracle built another way."""
+oracle built another way, and whether numpy imports."""
 
 from __future__ import annotations
 
@@ -19,14 +19,15 @@ def dump_edge_list(graph: Graph) -> str:
     self-loop but keeps the vertex, so isolated vertices survive the
     round trip.
     """
+    names = graph.external_names or [str(v) for v in range(graph.n)]
     out: list[str] = []
     for v in range(graph.n):
-        name = graph.name_of(v)
+        name = names[v]
         if not any(u < v for u in graph.adjacency[v]):
             out.append(f"{name} {name}")
         for u in graph.adjacency[v]:
             if u < v:
-                out.append(f"{graph.name_of(u)} {name}")
+                out.append(f"{names[u]} {name}")
     return "\n".join(out) + "\n"
 
 
@@ -64,3 +65,14 @@ def partition_from_membership(graph: Graph, community_of: Sequence[int]) -> Part
         for i, mem in enumerate(ordered)
     )
     return Partition(communities=communities, community_of=tuple(index_of))
+
+
+def numpy_imports() -> bool:
+    """Whether numpy imports: one that is installed but raises ImportError
+    counts as absent, as the package's fallback and pytest.importorskip
+    count it."""
+    try:
+        import numpy  # noqa: F401
+    except ImportError:
+        return False
+    return True

@@ -1,4 +1,5 @@
-"""Hypothesis strategies for graph files, valid and malformed.
+"""Hypothesis strategies for graph files, valid and malformed, and for
+proper colorings of a graph.
 
 GML documents are token lists joined by random gaps: the empty string
 (so brackets and strings touch their neighbors), line breaks, and
@@ -10,6 +11,8 @@ well-formed graph and are then mutated; the rest are token soup.
 from __future__ import annotations
 
 from hypothesis import strategies as st
+
+from labelprop.coloring import Coloring
 
 GML_GAPS = ["", " ", " ", "\n", "\t", "\r", "\r\n", "\x0c", "\xa0", " ", " \n  "]
 GML_IDS = ["0", "1", "2", "3", "1\x0c", "a\xa0b", "x#y", '"1"', '"a b"', "99999999999999999999"]
@@ -265,3 +268,48 @@ def decimal_edge_lists(draw) -> str:
         for tokens in lines
     )
     return text[:-1] if text and draw(st.booleans()) and text[-1] == "\n" else text
+
+
+@st.composite
+def proper_colorings(draw, graph) -> Coloring:
+    """Proper colorings of `graph`, built otherwise than greedily.
+
+    A random trial (Luby; Johansson) colors the graph: in each round every
+    uncolored vertex draws a color from a palette of its degree + 1 + 0-3
+    spare colors, less its colored neighbors' ones, and keeps it unless an
+    uncolored neighbor drew it too; the round's first vertex always keeps
+    its draw, so that a round never colors nothing.  Then classes are
+    split, singletons split off, classes with no edge between them merged,
+    and the classes put in any order.
+    """
+    adjacency = graph.adjacency
+    spare = draw(st.integers(0, 3))
+    color = [-1] * graph.n
+    uncolored = draw(st.permutations(range(graph.n)))
+    while uncolored:
+        trial = {}
+        for v in uncolored:
+            held = {color[u] for u in adjacency[v]}
+            trial[v] = draw(st.sampled_from([c for c in range(len(adjacency[v]) + 1 + spare) if c not in held]))
+        for v in uncolored:
+            if v == uncolored[0] or all(trial.get(u) != trial[v] for u in adjacency[v]):
+                color[v] = trial[v]
+        uncolored = [v for v in uncolored if color[v] < 0]
+    classes = [[v for v in range(graph.n) if color[v] == c] for c in sorted(set(color))]
+    for _ in range(draw(st.integers(0, 4)) if classes else 0):
+        i = draw(st.integers(0, len(classes) - 1))
+        move = draw(st.sampled_from(["split", "singleton", "merge"]))
+        if move == "merge" and len(classes) > 1:
+            j = draw(st.integers(0, len(classes) - 1))
+            if j != i and not {u for v in classes[i] for u in adjacency[v]} & set(classes[j]):
+                classes[min(i, j)] += classes.pop(max(i, j))
+        elif move != "merge" and len(classes[i]) > 1:
+            cut = 1 if move == "singleton" else draw(st.integers(1, len(classes[i]) - 1))
+            members = draw(st.permutations(classes[i]))
+            classes[i:i + 1] = [members[:cut], members[cut:]]
+    classes = draw(st.permutations(classes))
+    color_of = [0] * graph.n
+    for c, members in enumerate(classes):
+        for v in members:
+            color_of[v] = c
+    return Coloring(color_of=tuple(color_of), classes=tuple(map(tuple, classes)))

@@ -36,6 +36,7 @@ from helpers import partition_from_membership
 from oracles import modularity_bruteforce, random_graph
 
 BASE_SEED = 2026
+KARATE = fixtures.graph("karate")
 
 
 def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -155,7 +156,7 @@ def test_criterion_5_karate_quality_band():
         summary = run_experiment(
             TestSetting(
                 timing=TimingModel.SEMI_SYNCHRONOUS,
-                network="karate",
+                network=KARATE,
                 tie=tie,
                 trials=100,
                 base_seed=BASE_SEED,
@@ -178,7 +179,7 @@ def test_criterion_6_staged_timing_beats_async():
     semi = run_experiment(
         TestSetting(
             timing=TimingModel.SEMI_SYNCHRONOUS,
-            network="karate",
+            network=KARATE,
             tie=TieStrategy.MAX,
             trials=100,
             base_seed=BASE_SEED,
@@ -187,7 +188,7 @@ def test_criterion_6_staged_timing_beats_async():
     asyn = run_experiment(
         TestSetting(
             timing=TimingModel.ASYNCHRONOUS,
-            network="karate",
+            network=KARATE,
             tie=TieStrategy.MAX,
             trials=100,
             base_seed=BASE_SEED,
@@ -262,7 +263,7 @@ def test_criterion_9_stability_tendency_soft():
         return run_experiment(
             TestSetting(
                 timing=TimingModel.SEMI_SYNCHRONOUS,
-                network="karate",
+                network=KARATE,
                 tie=tie,
                 trials=100,
                 base_seed=BASE_SEED,

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-pytest.importorskip("numpy")
+pytest.importorskip("numpy", exc_type=ImportError)  # a numpy that fails to import skips, too
 
 import labelprop
 from labelprop import _arrays, cli, fixtures, graphs, propagation

@@ -140,7 +140,7 @@ def test_from_edges_rejects_dirty_input():
 
 
 def test_csr_lists_the_adjacency_and_is_built_once():
-    np = pytest.importorskip("numpy")
+    np = pytest.importorskip("numpy", exc_type=ImportError)
     g = Graph.from_edges(5, [(1, 3), (2, 3), (0, 3)])  # 4 isolated
     indptr, indices = g.csr
     assert g.csr[1] is indices

@@ -14,7 +14,6 @@ from labelprop.harness import (
     TrialResult,
     run_experiment,
     run_experiments,
-    run_trial,
     trial_seed,
     trials_csv,
 )
@@ -28,16 +27,24 @@ from labelprop.propagation import (
 from labelprop.partition import extract_communities, modularity, partition_stats
 
 
+C4 = fixtures.graph("c4")
+KARATE = fixtures.graph("karate")
+
+
 def setting(**overrides):
     base = dict(
         timing=TimingModel.SEMI_SYNCHRONOUS,
-        network="c4",
+        network=C4,
         tie=TieStrategy.MAX,
         trials=20,
         base_seed=42,
     )
     base.update(overrides)
     return TestSetting(**base)
+
+
+def trial(s, index):
+    return harness._run_one(s.network, s, index)
 
 
 def test_trial_seeds_distinct_and_deterministic():
@@ -50,7 +57,7 @@ def test_trial_seeds_distinct_and_deterministic():
 def test_c4_semi_sync_any_trial_collapses_in_two_steps():
     s = setting()
     for index in range(25):
-        r = run_trial(s, index)
+        r = trial(s, index)
         assert r.modularity == 0.0
         assert r.steps == 2
         assert r.community_count == 1
@@ -84,7 +91,7 @@ def test_bridge_precmax_trials_hit_only_the_two_enumerated_outcomes():
 
 
 def test_async_karate_trials_all_converge():
-    s = setting(timing=TimingModel.ASYNCHRONOUS, network="karate",
+    s = setting(timing=TimingModel.ASYNCHRONOUS, network=KARATE,
                 tie=TieStrategy.RANDOM, trials=100)
     summary = run_experiment(s)
     assert summary.convergence_rate == 1.0
@@ -93,11 +100,11 @@ def test_async_karate_trials_all_converge():
 
 
 def test_trial_result_stage_accounting():
-    async_result = run_trial(
-        setting(timing=TimingModel.ASYNCHRONOUS, network="karate", tie=TieStrategy.MAX), 3
+    async_result = trial(
+        setting(timing=TimingModel.ASYNCHRONOUS, network=KARATE, tie=TieStrategy.MAX), 3
     )
     assert async_result.stages == async_result.steps * 34
-    semi_result = run_trial(setting(network="karate"), 3)
+    semi_result = trial(setting(network=KARATE), 3)
     assert semi_result.stages % semi_result.steps == 0
     assert semi_result.stages >= semi_result.steps
 
@@ -109,14 +116,15 @@ def test_trial_result_rejects_stage_undercount():
 
 
 def test_experiment_reproducible():
-    s = setting(network="karate", tie=TieStrategy.PREC, trials=30)
+    s = setting(network=KARATE, tie=TieStrategy.PREC, trials=30)
     a = run_experiment(s)
     c = run_experiment(s)
     assert a == c
+    assert a.network == "graph<n=34>"  # the command line shows the loaded name instead
 
 
 def test_single_trial_has_zero_std():
-    summary = run_experiment(setting(network="karate", trials=1, tie=TieStrategy.RANDOM))
+    summary = run_experiment(setting(network=KARATE, trials=1, tie=TieStrategy.RANDOM))
     assert summary.modularity.std == 0.0
     assert summary.steps.std == 0.0
     assert summary.stages.std == 0.0
@@ -129,28 +137,12 @@ def test_setting_validation():
         setting(trials=0)
 
 
-def test_network_resolution_variants(tmp_path: Path):
-    by_name = run_trial(setting(), 0)
-    by_graph = run_trial(setting(network=fixtures.graph("c4")), 0)
-    path = tmp_path / "square.edgelist"
-    path.write_text(fixtures.fixture_text("c4"))
-    by_path = run_trial(setting(network=str(path)), 0)
-    assert by_name == by_graph == by_path
-
-
 @pytest.mark.parametrize("timing", list(TimingModel))
 def test_experiments_refuse_a_graph_with_no_vertices(timing):
     empty = setting(timing=timing, network=Graph(0, 0, ()), trials=1)
     refusal = r"^an experiment needs a graph with vertices; this one has none$"
     with pytest.raises(ValueError, match=refusal):
         run_experiment(empty)
-    with pytest.raises(ValueError, match=refusal):
-        run_trial(empty, 0)
-
-
-def test_network_load_errors_propagate(tmp_path: Path):
-    with pytest.raises(FileNotFoundError):
-        run_trial(setting(network=str(tmp_path / "missing.edgelist")), 0)
 
 
 def test_trials_csv_shape():
@@ -163,9 +155,9 @@ def test_trials_csv_shape():
 
 
 def test_semi_sync_beats_async_on_stages_for_karate():
-    semi = run_experiment(setting(network="karate", tie=TieStrategy.MAX, trials=30))
+    semi = run_experiment(setting(network=KARATE, tie=TieStrategy.MAX, trials=30))
     asyn = run_experiment(
-        setting(timing=TimingModel.ASYNCHRONOUS, network="karate",
+        setting(timing=TimingModel.ASYNCHRONOUS, network=KARATE,
                 tie=TieStrategy.MAX, trials=30)
     )
     assert semi.stages.mean < asyn.stages.mean
@@ -176,7 +168,7 @@ def test_semi_sync_beats_async_on_stages_for_karate():
 # 8 settings x 7 trials: 56 jobs, which 3 workers do not divide, and a
 # per-setting trial count that neither 2 nor 3 divides.
 SPLIT_SETTINGS = [
-    setting(timing=timing, network="karate", tie=tie, trials=7)
+    setting(timing=timing, network=KARATE, tie=tie, trials=7)
     for timing in (TimingModel.ASYNCHRONOUS, TimingModel.SEMI_SYNCHRONOUS)
     for tie in TieStrategy
 ]
@@ -212,7 +204,7 @@ def forks(monkeypatch):
 
 
 def _serial(settings):
-    return [[run_trial(s, i) for i in range(s.trials)] for s in settings]
+    return [[trial(s, i) for i in range(s.trials)] for s in settings]
 
 
 @pytest.mark.parametrize("count", [1, 2, 3])
@@ -249,7 +241,7 @@ def test_split_fallbacks(case, cores, forks, monkeypatch):
     cores(2)
     settings = SPLIT_SETTINGS[:1]
     if case == "one job":
-        settings = [setting(network="karate", trials=1)]
+        settings = [setting(network=KARATE, trials=1)]
     elif case == "no fork":
         monkeypatch.delattr(os, "fork")
     else:  # fall back on the cpu count
@@ -277,7 +269,7 @@ def test_the_first_failing_trial_raises_in_the_caller(failing, first, cores, for
     cores(2)
     monkeypatch.setattr(harness, "_run_one", flaky)
     with pytest.raises(ValueError, match=rf"^trial {first} failed$"):
-        run_experiment(setting(network="karate", trials=6))
+        run_experiment(setting(network=KARATE, trials=6))
     assert len(forks) == 1
 
 
@@ -293,7 +285,7 @@ def test_a_child_that_dies_before_writing_is_named(cores, forks, monkeypatch):
     cores(2)
     monkeypatch.setattr(harness, "_run_one", dying)
     with pytest.raises(ChildProcessError) as info:
-        run_experiment(setting(network="karate", trials=4))
+        run_experiment(setting(network=KARATE, trials=4))
     [pid] = forks
     assert str(info.value) == (
         f"trial worker {pid} ended with exit status 3 instead of sending its results"
@@ -316,7 +308,7 @@ def test_an_interrupted_caller_kills_and_reaps_its_children(cores, forks, monkey
     monkeypatch.setattr(harness, "_run_one", stalling)
     start = time.monotonic()
     with pytest.raises(_Interrupt):
-        run_experiment(setting(network="karate", trials=3))
+        run_experiment(setting(network=KARATE, trials=3))
     assert time.monotonic() - start < 30
     assert len(forks) == 2
 
@@ -336,6 +328,6 @@ def test_a_failed_fork_reaps_the_children_already_forked(cores, forks, monkeypat
     monkeypatch.setattr(os, "fork", second_fails)
     before = len(list(fds.iterdir()))
     with pytest.raises(BlockingIOError, match="^fork refused$"):
-        run_experiment(setting(network="karate", trials=3))
+        run_experiment(setting(network=KARATE, trials=3))
     assert len(forks) == 1
     assert len(list(fds.iterdir())) == before  # both pipes closed

@@ -1,7 +1,6 @@
 import itertools
 import random
 from fractions import Fraction
-from importlib.util import find_spec
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +10,7 @@ from labelprop import fixtures, graphs
 from labelprop.graphs import Graph, same_label_edges
 from labelprop.partition import extract_communities, modularity, partition_stats
 
-from helpers import partition_from_membership
+from helpers import numpy_imports, partition_from_membership
 from oracles import (
     modularity_bruteforce,
     random_graph,
@@ -83,7 +82,7 @@ def labelled_graphs(draw):
 
 ARRAY_PATHS = [
     "default",
-    pytest.param("arrays", marks=pytest.mark.skipif(find_spec("numpy") is None, reason="needs numpy")),
+    pytest.param("arrays", marks=pytest.mark.skipif(not numpy_imports(), reason="needs numpy")),
 ]
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelprop import fixtures, propagation
+from labelprop import fixtures, graphs, propagation
 from labelprop.coloring import Coloring, color_from_labels, greedy_color
 from labelprop.graphs import Graph
 from labelprop.propagation import (
@@ -32,6 +32,7 @@ from labelprop.propagation import (
 )
 from labelprop.rng import Stream
 
+from helpers import numpy_imports
 from oracles import (
     random_graph,
     reference_async_step,
@@ -41,6 +42,7 @@ from oracles import (
     reference_sync_step,
     staged_precmax_oracle,
 )
+from strategies import proper_colorings
 
 RNG = DecisionRng(12345)
 
@@ -678,6 +680,34 @@ def test_prec_family_converges_within_the_theorem_bound(case, timing, tie, seed)
     assert labels_locally_maximal(g, state.labels)
 
 
+@pytest.mark.parametrize(
+    "kernel", ["off", pytest.param("on", marks=pytest.mark.skipif(not numpy_imports(), reason="needs numpy"))]
+)
+@settings(max_examples=200, deadline=None)
+@given(case=propagation_cases(), data=st.data(), tie=st.sampled_from(every_tie()),
+       seed=st.integers(0, 2**63))
+def test_semi_sync_theorem_holds_under_any_proper_coloring(kernel, case, data, tie, seed):
+    # the convergence proof needs only that no two vertices of a stage are
+    # adjacent: run's f check never fires, C1 (and NO_CHANGE under the Prec
+    # family) stops within m - f_start + 1 steps, and the Prec family stops
+    # at a locally maximal labeling, whatever the proper coloring
+    g, init, _ = case
+    coloring = data.draw(proper_colorings(g))
+    prec_family = tie in (TieStrategy.PREC, TieStrategy.PREC_MAX)
+    bound = g.m - monochromatic_edge_count(g, init) + 1
+    cfg = RunConfig(timing=TimingModel.SEMI_SYNCHRONOUS, tie=tie,
+                    stop=StopCriterion.NO_CHANGE if prec_family else StopCriterion.C1,
+                    seed=seed, step_cap=bound, initial_labels=init)
+    with pytest.MonkeyPatch.context() as mp:
+        if kernel == "on":
+            mp.setattr(graphs, "ARRAY_MIN_EDGES", 0)
+        state, _ = run(g, cfg, coloring)
+    assert state.status is RunStatus.CONVERGED
+    if prec_family:
+        assert state.stop_reason == "no-change"
+        assert labels_locally_maximal(g, state.labels)
+
+
 @pytest.mark.parametrize("timing", [TimingModel.ASYNCHRONOUS, TimingModel.SEMI_SYNCHRONOUS])
 def test_run_raises_when_prec_max_leaves_a_maximal_label(monkeypatch, timing):
     # a Prec-Max that moves from a maximal label to a larger one can leave
@@ -925,3 +955,75 @@ def test_semi_sync_prec_max_matches_networkx():
         ours = sorted(sorted(group) for group in groups.values())
         theirs = sorted(sorted(c) for c in nx.community.label_propagation_communities(G))
         assert ours == theirs, f"gnm(60, 150, seed={seed})"
+
+
+def test_async_prec_matches_networkx(monkeypatch):
+    # networkx's asyn_lpa_communities is the async algorithm of Raghavan,
+    # Albert and Kumara (Phys. Rev. E 76, 036106, 2007): each pass shuffles
+    # the nodes, keeps a maximal label, else draws one with seed.choice, and
+    # stops after a pass that changes nothing.  From distinct labels in node
+    # order that is async Prec stopped by NO_CHANGE, and a seed that replays
+    # run's draws makes it take run's path, draw for draw
+    nx = pytest.importorskip("networkx")
+
+    class Recording(nx.Graph):
+        node = None  # the node whose neighbors networkx read last
+
+        def __getitem__(self, node):
+            self.node = node
+            return super().__getitem__(node)
+
+    class Replay(random.Random):
+        def __init__(self, rng, graph):
+            super().__init__(0)
+            self.rng, self.graph = rng, graph
+            self.steps = self.choices = 0
+            self.position = {}
+
+        def shuffle(self, nodes):  # a pass is run's next step
+            self.steps += 1
+            nodes[:] = self.rng.step_permutation(self.steps, len(nodes))
+            self.position = {v: i for i, v in enumerate(nodes)}
+
+        def choice(self, labels):  # the tie stream of the node's stage
+            self.choices += 1
+            v = self.graph.node
+            labels = sorted(labels)
+            return labels[self.rng.tie_stream(self.steps, self.position[v], v).below(len(labels))]
+
+    changes = []  # per step of run, its label changes
+    step = propagation._step
+
+    def counting(*args):
+        state = step(*args)
+        changes.append(len(state.last_changed))
+        return state
+
+    monkeypatch.setattr(propagation, "_step", counting)
+    with_isolated = 0
+    for seed in range(400):
+        rnd = random.Random(seed)
+        n = rnd.randint(1, 60)
+        m = rnd.randint(0, min(3 * n, n * (n - 1) // 2))
+        G = Recording(nx.gnm_random_graph(n, m, seed=seed))
+        assert list(G) == list(range(n))
+        with_isolated += any(not G[v] for v in G)
+        changes.clear()
+        cfg = RunConfig(timing=TimingModel.ASYNCHRONOUS, tie=TieStrategy.PREC,
+                        stop=StopCriterion.NO_CHANGE, seed=seed)
+        state, metrics = run(Graph.from_edges(n, list(G.edges())), cfg)
+        assert state.stop_reason == "no-change"
+        groups = {}
+        for v, label in enumerate(state.labels):
+            groups.setdefault(label, set()).add(v)
+        ours = sorted(sorted(group) for group in groups.values())
+        replay = Replay(DecisionRng(seed), G)
+        theirs = sorted(sorted(c) for c in nx.community.asyn_lpa_communities(G, seed=replay))
+        case = f"gnm({n}, {m}, seed={seed})"
+        assert ours == theirs, case
+        # networkx's call pattern, which the replay relies on: one shuffle per
+        # step, and a choice exactly when a node's label is not maximal, so
+        # per label change, even where one label is maximal
+        assert replay.steps == metrics.steps == len(changes), case
+        assert replay.choices == sum(changes), case
+    assert with_isolated >= 100
