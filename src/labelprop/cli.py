@@ -18,7 +18,7 @@ from pathlib import Path
 from . import fixtures
 from .coloring import color_from_labels, coloring_csv
 from .graphs import Graph, GraphParseError, LoadReport, load_edge_list, load_gml
-from .harness import ExperimentSummary, TestSetting, run_experiments, trials_csv
+from .harness import TRIAL_METRICS, ExperimentSummary, TestSetting, run_experiments, trials_csv
 from .harness import run_experiment  # noqa: F401 - bench/layers.py patches this name
 from .partition import extract_communities, modularity, partition_stats
 from .propagation import (
@@ -113,14 +113,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "step_cap": config.step_cap,
             },
             "result": {
-                "status": state.status.value,
-                "stop_reason": state.stop_reason,
-                "steps": metrics.steps,
+                "status": metrics.status.value,
+                "stop_reason": metrics.stop_reason,
+                "steps": state.step,
                 "stages": metrics.stages,
                 "num_colors": metrics.num_colors,
                 "modularity": q,
-                "f_start": metrics.f_start,
-                "f_trace": list(metrics.f_trace),
+                "f_start": state.f_start,
+                "f_trace": list(state.f_trace),
                 "communities": stats.count,
                 "largest_community": stats.largest,
                 "membership": list(part.community_of),
@@ -129,61 +129,41 @@ def _cmd_run(args: argparse.Namespace) -> int:
         _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     elif args.format == "csv":
         lines = [
-            f"# graph={name} status={state.status.value} stop_reason={state.stop_reason}",
-            f"# modularity={q!r} steps={metrics.steps} stages={metrics.stages}",
-            f"# f_trace={','.join(map(str, (metrics.f_start,) + metrics.f_trace))}",
+            f"# graph={name} status={metrics.status.value} stop_reason={metrics.stop_reason}",
+            f"# modularity={q!r} steps={state.step} stages={metrics.stages}",
+            f"# f_trace={','.join(map(str, (state.f_start,) + state.f_trace))}",
             "vertex,community",
         ]
         lines.extend(f"{v},{c}" for v, c in enumerate(part.community_of))
         _emit("\n".join(lines) + "\n")
     else:  # plot-data
         lines = ["x,y,series"]
-        lines.append(f"0,{metrics.f_start},f")
-        lines.extend(f"{i},{f},f" for i, f in enumerate(metrics.f_trace, start=1))
+        lines.append(f"0,{state.f_start},f")
+        lines.extend(f"{i},{f},f" for i, f in enumerate(state.f_trace, start=1))
         _emit("\n".join(lines) + "\n")
 
-    return 0 if state.status is RunStatus.CONVERGED else 2
+    return 0 if metrics.status is RunStatus.CONVERGED else 2
 
 
 # --- experiment ------------------------------------------------------------
 
 
-def _summary_dict(summary: ExperimentSummary) -> dict:
-    def metric(ms) -> dict:
-        return {"mean": ms.mean, "std": ms.std}
+def _aggregates(s: ExperimentSummary) -> list:
+    """(summary field, column stem, MetricSummary) per row of TRIAL_METRICS."""
+    return [(field, stem, getattr(s, field)) for _, field, stem in TRIAL_METRICS]
 
+
+def _summary_dict(s: ExperimentSummary) -> dict:
     return {
-        "timing": summary.timing.value,
-        "tie": summary.tie.value,
-        "network": summary.network,
-        "trials": summary.trials,
-        "base_seed": summary.base_seed,
-        "modularity": metric(summary.modularity),
-        "steps": metric(summary.steps),
-        "stages": metric(summary.stages),
-        "communities": metric(summary.communities),
-        "largest_community": metric(summary.largest_community),
-        "convergence_rate": summary.convergence_rate,
-        "non_converged": summary.non_converged,
+        "timing": s.timing.value,
+        "tie": s.tie.value,
+        "network": s.network,
+        "trials": s.trials,
+        "base_seed": s.base_seed,
+        **{field: {"mean": ms.mean, "std": ms.std} for field, _, ms in _aggregates(s)},
+        "convergence_rate": s.convergence_rate,
+        "non_converged": s.non_converged,
     }
-
-
-_SUMMARY_CSV_HEADER = (
-    "timing,tie,network,trials,base_seed,"
-    "modularity_mean,modularity_std,steps_mean,steps_std,stages_mean,stages_std,"
-    "communities_mean,communities_std,largest_mean,largest_std,"
-    "convergence_rate,non_converged"
-)
-
-
-def _summary_csv_row(s: ExperimentSummary) -> str:
-    return (
-        f"{s.timing.value},{s.tie.value},{s.network},{s.trials},{s.base_seed},"
-        f"{s.modularity.mean!r},{s.modularity.std!r},{s.steps.mean!r},{s.steps.std!r},"
-        f"{s.stages.mean!r},{s.stages.std!r},{s.communities.mean!r},{s.communities.std!r},"
-        f"{s.largest_community.mean!r},{s.largest_community.std!r},"
-        f"{s.convergence_rate!r},{s.non_converged}"
-    )
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -226,23 +206,23 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             indent=2,
         ) + "\n"
     elif args.format == "csv":
-        lines = [_SUMMARY_CSV_HEADER]
-        lines.extend(_summary_csv_row(s) for s in summaries)
+        stems = ",".join(f"{stem}_mean,{stem}_std" for _, _, stem in TRIAL_METRICS)
+        lines = [f"timing,tie,network,trials,base_seed,{stems},convergence_rate,non_converged"]
+        for s in summaries:
+            values = ",".join(f"{ms.mean!r},{ms.std!r}" for _, _, ms in _aggregates(s))
+            lines.append(
+                f"{s.timing.value},{s.tie.value},{s.network},{s.trials},{s.base_seed},"
+                f"{values},{s.convergence_rate!r},{s.non_converged}"
+            )
         text = "\n".join(lines) + "\n"
-    else:  # plot-data
+    else:  # plot-data: every mean, and modularity's deviation
         lines = ["x,y,series"]
         for s in summaries:
             label = f"{s.timing.value}/{s.tie.value}/{s.network}"
-            for series, ms in (
-                ("modularity_mean", s.modularity),
-                ("modularity_std", s.modularity),
-                ("steps_mean", s.steps),
-                ("stages_mean", s.stages),
-                ("communities_mean", s.communities),
-                ("largest_mean", s.largest_community),
-            ):
-                value = ms.std if series.endswith("_std") else ms.mean
-                lines.append(f"{label},{value!r},{series}")
+            for _, stem, ms in _aggregates(s):
+                lines.append(f"{label},{ms.mean!r},{stem}_mean")
+                if stem == "modularity":
+                    lines.append(f"{label},{ms.std!r},{stem}_std")
         text = "\n".join(lines) + "\n"
 
     _emit(text)

@@ -51,6 +51,7 @@ __all__ = [
     "TrialResult",
     "MetricSummary",
     "ExperimentSummary",
+    "TRIAL_METRICS",
     "trial_seed",
     "run_experiment",
     "run_experiments",
@@ -95,6 +96,18 @@ class TrialResult:
             raise ValueError("stages can never undercount steps")
 
 
+# Every per-trial metric, once, in output order: its TrialResult field,
+# its ExperimentSummary field (the summary JSON's key) and the stem of its
+# CSV columns and plot-data series.
+TRIAL_METRICS = (
+    ("modularity", "modularity", "modularity"),
+    ("steps", "steps", "steps"),
+    ("stages", "stages", "stages"),
+    ("community_count", "communities", "communities"),
+    ("largest_community", "largest_community", "largest"),
+)
+
+
 @dataclass(frozen=True)
 class MetricSummary:
     mean: float
@@ -103,7 +116,8 @@ class MetricSummary:
 
 @dataclass(frozen=True)
 class ExperimentSummary:
-    """Aggregates over one setting's trials.
+    """Aggregates over one setting's trials: one MetricSummary per row of
+    TRIAL_METRICS, which names the field of each.
 
     Aggregates use the population (divide by N) deviation over the fixed
     trial count.  If any trial hit the step cap, its modularity is left
@@ -111,7 +125,8 @@ class ExperimentSummary:
     such trials there were; every other metric covers all trials.  On an
     edgeless graph modularity is undefined: every trial's is NaN and is
     left out, so the modularity aggregate is NaN, as for a setting with no
-    converged trial.
+    converged trial.  `convergence_rate` is derived from `trials` and
+    `non_converged`.
     """
 
     timing: TimingModel
@@ -124,9 +139,12 @@ class ExperimentSummary:
     stages: MetricSummary
     communities: MetricSummary
     largest_community: MetricSummary
-    convergence_rate: float
     non_converged: int
     results: tuple[TrialResult, ...]
+
+    @property
+    def convergence_rate(self) -> float:
+        return (self.trials - self.non_converged) / self.trials
 
 
 def trial_seed(base_seed: int, trial_index: int) -> int:
@@ -158,11 +176,11 @@ def _run_one(graph: Graph, setting: TestSetting, trial_index: int) -> TrialResul
         trial_index=trial_index,
         seed=seed,
         modularity=modularity(graph, partition) if graph.m else float("nan"),
-        steps=metrics.steps,
+        steps=state.step,
         stages=metrics.stages,
         community_count=stats.count,
         largest_community=stats.largest,
-        converged=state.status is RunStatus.CONVERGED,
+        converged=metrics.status is RunStatus.CONVERGED,
     )
 
 
@@ -282,20 +300,23 @@ def run_experiments(settings: list[TestSetting]) -> list[ExperimentSummary]:
         trials = results[start:start + setting.trials]
         start += setting.trials
         converged = [r for r in trials if r.converged]
+        scored = converged if graph.m else []  # the trials modularity aggregates
+        aggregates = {
+            field: _summarize([
+                float(getattr(r, trial_field))
+                for r in (scored if trial_field == "modularity" else trials)
+            ])
+            for trial_field, field, _ in TRIAL_METRICS
+        }
         summaries.append(ExperimentSummary(
             timing=setting.timing,
             tie=setting.tie,
             network=f"graph<n={graph.n}>",
             trials=setting.trials,
             base_seed=setting.base_seed,
-            modularity=_summarize([r.modularity for r in converged] if graph.m else []),
-            steps=_summarize([float(r.steps) for r in trials]),
-            stages=_summarize([float(r.stages) for r in trials]),
-            communities=_summarize([float(r.community_count) for r in trials]),
-            largest_community=_summarize([float(r.largest_community) for r in trials]),
-            convergence_rate=len(converged) / setting.trials,
             non_converged=setting.trials - len(converged),
             results=tuple(trials),
+            **aggregates,
         ))
     return summaries
 
@@ -306,10 +327,11 @@ def run_experiment(setting: TestSetting) -> ExperimentSummary:
 
 
 def trials_csv(summary: ExperimentSummary) -> str:
-    lines = ["trial,seed,modularity,steps,stages,communities,largest,converged"]
+    """One row per trial: its index, seed, each TRIAL_METRICS value and
+    whether it converged."""
+    stems = ",".join(stem for _, _, stem in TRIAL_METRICS)
+    lines = [f"trial,seed,{stems},converged"]
     for r in summary.results:
-        lines.append(
-            f"{r.trial_index},{r.seed},{r.modularity!r},{r.steps},{r.stages},"
-            f"{r.community_count},{r.largest_community},{str(r.converged).lower()}"
-        )
+        values = ",".join(repr(getattr(r, field)) for field, _, _ in TRIAL_METRICS)
+        lines.append(f"{r.trial_index},{r.seed},{values},{str(r.converged).lower()}")
     return "\n".join(lines) + "\n"

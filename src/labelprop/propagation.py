@@ -53,7 +53,7 @@ every async and semi-synchronous step (MonotoneViolation; see run).
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401 - bench/layers.py patches this name
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -98,7 +98,6 @@ class StopCriterion(Enum):
 
 
 class RunStatus(Enum):
-    RUNNING = "running"
     CONVERGED = "converged"
     CAP_EXCEEDED = "cap_exceeded"
 
@@ -123,32 +122,35 @@ class RunConfig:
 class LabelState:
     """Labeling after `step` completed steps, plus its change history.
 
+    A run's step count and f history live here and only here.
     ``f_trace[i-1]`` is the monochromatic-edge count after step ``i``;
     ``f_start`` is the count for the initial labeling.  ``last_changed``
     and ``last_tie_changed`` describe the most recent step: which
     vertices changed label, and which of those changed only because of a
-    tie (the update's maximal-label set had two or more members).
+    tie (the update's maximal-label set had two or more members).  How a
+    run ended is not part of a labeling: see RunMetrics.
     """
 
     labels: tuple[int, ...]
     step: int
     f_start: int
     f_trace: tuple[int, ...]
-    status: RunStatus = RunStatus.RUNNING
-    stop_reason: str | None = None
     last_changed: frozenset[int] = frozenset()
     last_tie_changed: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)
 class RunMetrics:
-    steps: int
+    """How a run ended, beside its final LabelState (which holds the step
+    count and f history): the stages it executed, the colors of a
+    semi-synchronous run's coloring (None otherwise), whether the stop
+    criterion fired, and which test stopped it ("step-cap" on a cap hit).
+    """
+
     stages: int
     num_colors: int | None
-    f_start: int
-    f_trace: tuple[int, ...]
     status: RunStatus
-    stop_reason: str | None
+    stop_reason: str
 
 
 class DecisionRng:
@@ -291,8 +293,6 @@ def _step(
         state.step + 1,
         state.f_start,
         state.f_trace + (f + f_delta,),
-        state.status,
-        state.stop_reason,
         frozenset(changed),
         frozenset(tie_changed),
     )
@@ -440,9 +440,12 @@ def run(
     """Iterate the configured step until the stop criterion fires or the
     step cap is reached.
 
+    Returns the final LabelState, which holds the labels, the step count
+    and the f history, and the RunMetrics of how the run ended: stages,
+    colors, status and stop reason.  Each fact is in one of the two.
     A coloring is required for (and only for) semi-synchronous timing and
-    is validated up front.  Hitting the cap is not an error: the state
-    comes back with CAP_EXCEEDED status (synchronous random-tie runs may
+    is validated up front.  Hitting the cap is not an error: the metrics
+    come back with CAP_EXCEEDED status (synchronous random-tie runs may
     legitimately never settle).
 
     Async and semi-synchronous steps are checked against the convergence
@@ -505,19 +508,11 @@ def run(
             reason = "c2-period-2"
         two_back = one_back
         if reason is not None:
-            state = replace(state, status=RunStatus.CONVERGED, stop_reason=reason)
+            status = RunStatus.CONVERGED
             break
     else:
-        state = replace(state, status=RunStatus.CAP_EXCEEDED, stop_reason="step-cap")
+        status, reason = RunStatus.CAP_EXCEEDED, "step-cap"
 
     num_colors = coloring.num_colors if coloring is not None else None
-    metrics = RunMetrics(
-        steps=state.step,
-        stages=stage_count(config.timing, state.step, graph.n, num_colors),
-        num_colors=num_colors,
-        f_start=state.f_start,
-        f_trace=state.f_trace,
-        status=state.status,
-        stop_reason=state.stop_reason,
-    )
-    return state, metrics
+    stages = stage_count(config.timing, state.step, graph.n, num_colors)
+    return state, RunMetrics(stages, num_colors, status, reason)

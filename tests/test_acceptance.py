@@ -70,8 +70,8 @@ def test_criterion_1_staged_convergence_with_growing_potential():
                     initial_labels=init,
                 )
                 state, metrics = run(graph, config, color_from_labels(graph, init))
-                assert state.status is RunStatus.CONVERGED, "staged run must terminate"
-                trace = (metrics.f_start,) + metrics.f_trace
+                assert metrics.status is RunStatus.CONVERGED, "staged run must terminate"
+                trace = (state.f_start,) + state.f_trace
                 for i in range(1, len(trace) - 1):
                     assert trace[i] > trace[i - 1], (
                         f"f not strictly increasing at non-final step {i}: {trace}"

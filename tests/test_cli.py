@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -11,8 +12,11 @@ from hypothesis import given, settings
 from strategies import edge_list_documents, gml_documents
 
 import labelprop
+from labelprop import fixtures
 from labelprop.cli import load_graph, main
 from labelprop.graphs import GraphParseError, load_edge_list, load_gml
+from labelprop.harness import TestSetting, run_experiment, trials_csv
+from labelprop.propagation import TieStrategy, TimingModel
 
 
 def run_cli(capsys, *argv):
@@ -174,6 +178,84 @@ def test_experiment_plot_data(capsys):
     lines = out.splitlines()
     assert lines[0] == "x,y,series"
     assert any(line.endswith(",modularity_mean") for line in lines[1:])
+
+
+# sha256 of each command's exit code, stdout and --out files (names and
+# bytes, in name order), per --format: every byte each command writes.
+# Re-record a digest only for an intended change of that output.
+_PINNED_OUTPUTS = {
+    "run karate --timing sync --tie prec-max": {
+        "json": (0, "03335244bf90474680fe22137c0e0af255710a423a6c15af46738da825d263f4", None),
+        "csv": (0, "6ea7317fa17f2706e7a23652e5d7ec62010e8fda729fd5841dbee06a3a0159fc", None),
+        "plot-data": (0, "dd52347efb0d37a8ba2fc7df8f683ff4b40927f41c8e1a1e2347188b2821e561", None),
+    },
+    "run karate --timing sync --tie random": {
+        "json": (2, "ab9289677f04b76e759198117f93cdf44c2e5f48b8727a6b05f3f98bf5a313d6", None),
+        "csv": (2, "42d8553ac9f5eefbf9b8b28c5632b64b7ff520c0f301ddd8072933c9e7b65345", None),
+        "plot-data": (2, "b95abc645ba4e1a8ccc8b5bbedec0bccbaf1505a4a246b1e2964525a7b7ce826", None),
+    },
+    "run karate --timing async --tie prec-max": {
+        "json": (0, "be451729dd03f194c7eda3fd0cca9879b6da4c5e75a04950e0098128ac6726c1", None),
+        "csv": (0, "e9db811401ad62223e43d4c994eaccde00d534226213e8b5579e00a85a8b6498", None),
+        "plot-data": (0, "9e5b3e84024863c55522e4a1f8005a816c78d27c874bc05ba658a682d377be8a", None),
+    },
+    "run karate --timing async --tie random": {
+        "json": (0, "4f9d40aaedbe265fa4b4e17375d31728f837db000ee464478d6b08d48ba21dba", None),
+        "csv": (0, "b75dc67dee5f5ef22c054c0e53cd150834cd2e12ad5df3cecaf64383b8b0c049", None),
+        "plot-data": (0, "5fcb899b80e6b7262ebbcca7573efd75670cb2398378828ba1bd7e73c7fd0f7d", None),
+    },
+    "run karate --timing semi-sync --tie prec-max": {
+        "json": (0, "8b19d46bd384706e12a8515086250912e5a9a2e70b77c29b4186a3bcc690c877", None),
+        "csv": (0, "932a95bbf32cf7c33f6fbadfe70970407796b25af12d519023b5fd31305c830a", None),
+        "plot-data": (0, "9bbaab1509ba1ed64ae53836eb594b3c85185c08435c50ffb0c689833475b0e4", None),
+    },
+    "run karate --timing semi-sync --tie random": {
+        "json": (0, "e97af0827275f17dd7fc8ef4b00e5576f47026a9ae8db7e9b0ddbd376d84277c", None),
+        "csv": (0, "4a5f1689f83d852f3385e95590fc8ffbfd1d93f703ae2608c67c5b23fff326ff", None),
+        "plot-data": (0, "314fb9fed0ffaee40c28188e34d200f9c9776038d5c23649b56b8266e3329c54", None),
+    },
+    "experiment karate --all-ties --both-timings --trials 4 --seed 5 --out {out}": {
+        "json": (0, "a58d087694b4729874ca3a31a747c04fe807f4d69b901e3f41be1cf10e352bdf",
+                 "42ead5f8404709d1f41ededfb57c91cc5d8c6dbd2ef0033dc9e9fa9563060b46"),
+        "csv": (0, "ff184a84eea9d8d11a2914342f49636b81ec8789206bc95cfd45c744b8d20ffc",
+                "e46825394a0f3e932a801d6a97f624950bac2447b9604f97a9c04df753aab670"),
+        "plot-data": (0, "e06e53fbdea935924af9c1bcb53a43910db5229426eb22f1bde9da171d5cc8cb",
+                      "d93af44acdde5cbe3ef8dc745cd934cbb5360dc1f6af642da2d48978fbd4e7bc"),
+    },
+    "experiment c4 --timing sync --tie max --trials 3": {
+        "json": (0, "f3912c86b8dec220596e396d88471c1cb326ff9018aa36b7c98b93e5a2fc6e49", None),
+        "csv": (0, "199b4882c08b34d2f9d1f1ed8222582cde0a623ba82d068cc95c6ecaa7d2c298", None),
+        "plot-data": (0, "136bd59888af8427bddda65cafe1460dc81c6290f1c57516beffd24a92ec713d", None),
+    },
+    "info karate": {
+        "json": (0, "0c500d9c5f9d820b78e1057d50327d3aa5410a7946e86a39a8c4ded080994228", None),
+        "csv": (0, "fb3e6420d9c50bd030e2b1030c1cf926bf9098a0f735b6bc8741e1f907bd410b", None),
+        "plot-data": (0, "3e8f7c44fd54debde7c5bb0d328400bffb1aea0852b360bdd337fee587f28727", None),
+    },
+    "info triangles-bridge": {
+        "json": (0, "dbabd927115079b711c6db99faf5fbfe8bdc26d13b23ea31be25182fcd3a0621", None),
+        "csv": (0, "f12f8a6fcd2ea686dca42a896aef39c1a109c57b75459b2bb253e028a651d28c", None),
+        "plot-data": (0, "c420eb2c592323a758798568fc2b5a12033d6c11b622b066d74afcf9a0106350", None),
+    },
+}
+
+
+def _out_dir_digest(out: Path) -> "str | None":
+    if not out.exists():
+        return None
+    digest = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "plot-data"])
+@pytest.mark.parametrize("command", sorted(_PINNED_OUTPUTS))
+def test_command_outputs_match_pinned_digests(capsys, tmp_path: Path, command, fmt):
+    out = tmp_path / "out"
+    code, stdout, _ = run_cli(capsys, *command.format(out=out).split(), "--format", fmt)
+    outcome = (code, hashlib.sha256(stdout.encode()).hexdigest(), _out_dir_digest(out))
+    assert outcome == _PINNED_OUTPUTS[command][fmt]
 
 
 def test_info_karate(capsys):
@@ -428,6 +510,13 @@ def test_readme_examples_run(capsys, monkeypatch, tmp_path):
         assert main(argv) == 0, argv
         assert capsys.readouterr().out
     assert any((tmp_path / "results").iterdir())
+
+
+def test_readme_per_trial_csv_header_is_trials_csvs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = readme.split("Per-trial CSV (one row per trial):\n\n```\n", 1)[1].split("\n", 1)[0]
+    setting = TestSetting(TimingModel.SYNCHRONOUS, fixtures.graph("c4"), TieStrategy.MAX, trials=1)
+    assert trials_csv(run_experiment(setting)).splitlines()[0] == documented
 
 
 _NON_ASCII_GRAPHS = {

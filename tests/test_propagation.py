@@ -242,7 +242,7 @@ def test_semi_sync_bridge_identity_matches_oracle():
     )
     state, metrics = run(g, cfg, color_from_labels(g, init))
     assert state.labels == tuple(expected_labels)
-    assert metrics.steps == expected_steps
+    assert state.step == expected_steps
     assert state.labels == (2, 2, 2, 5, 5, 5)  # constant inside each triangle
 
 
@@ -260,10 +260,10 @@ def test_isolated_vertices_keep_labels():
         cfg = RunConfig(
             timing=TimingModel.SEMI_SYNCHRONOUS, tie=tie, seed=5, initial_labels=(7, 7, 3, 9)
         )
-        state, _ = run(g, cfg, col)
+        state, metrics = run(g, cfg, col)
         assert state.labels[2] == 3
         assert state.labels[3] == 9
-        assert state.status is RunStatus.CONVERGED
+        assert metrics.status is RunStatus.CONVERGED
 
 
 # --- stop criteria -----------------------------------------------------------
@@ -274,7 +274,7 @@ def test_run_c1_stops_when_nothing_changes():
     cfg = RunConfig(timing=TimingModel.SYNCHRONOUS, tie=TieStrategy.MAX,
                     stop=StopCriterion.C1, initial_labels=(1, 1, 1, 1))
     state, metrics = run(g, cfg)
-    assert (state.stop_reason, metrics.steps, state.last_changed) == ("c1", 1, frozenset())
+    assert (metrics.stop_reason, state.step, state.last_changed) == ("c1", 1, frozenset())
 
 
 def test_run_c1_does_not_stop_on_non_tie_changes():
@@ -283,7 +283,7 @@ def test_run_c1_does_not_stop_on_non_tie_changes():
     cfg = RunConfig(timing=TimingModel.SYNCHRONOUS, tie=TieStrategy.MAX,
                     stop=StopCriterion.C1, step_cap=5, initial_labels=(3, 2, 3, 2))
     state, metrics = run(g, cfg)
-    assert (state.status, state.stop_reason, metrics.steps) == (
+    assert (metrics.status, metrics.stop_reason, state.step) == (
         RunStatus.CAP_EXCEEDED, "step-cap", 5
     )
     assert state.last_changed == {0, 1, 2, 3}
@@ -295,7 +295,7 @@ def test_run_c1_stops_on_tie_only_changes():
     g = fixtures.graph("c4")
     cfg = RunConfig(timing=TimingModel.SYNCHRONOUS, tie=TieStrategy.MAX, stop=StopCriterion.C1)
     state, metrics = run(g, cfg)
-    assert (state.stop_reason, metrics.steps, state.labels) == ("c1", 1, (3, 2, 3, 2))
+    assert (metrics.stop_reason, state.step, state.labels) == ("c1", 1, (3, 2, 3, 2))
     assert state.last_changed == state.last_tie_changed == {0, 1, 2, 3}
 
 
@@ -304,7 +304,7 @@ def test_run_c2_stops_on_an_unchanged_step():
     cfg = RunConfig(timing=TimingModel.SYNCHRONOUS, tie=TieStrategy.MAX, stop=StopCriterion.C2,
                     initial_labels=(5, 5, 5, 5))
     state, metrics = run(g, cfg)
-    assert (state.status, state.stop_reason, metrics.steps) == (
+    assert (metrics.status, metrics.stop_reason, state.step) == (
         RunStatus.CONVERGED, "c2-period-1", 1
     )
 
@@ -316,7 +316,7 @@ def test_run_c2_runs_on_while_labelings_differ():
     cfg = RunConfig(timing=TimingModel.SYNCHRONOUS, tie=TieStrategy.MAX, stop=StopCriterion.C2,
                     step_cap=2)
     state, metrics = run(g, cfg)
-    assert (state.status, state.stop_reason, metrics.steps) == (
+    assert (metrics.status, metrics.stop_reason, state.step) == (
         RunStatus.CAP_EXCEEDED, "step-cap", 2
     )
 
@@ -328,7 +328,7 @@ def test_run_c2_stops_at_the_first_repeat_on_karate(tie, period, steps):
     g = fixtures.graph("karate")
     cfg = RunConfig(timing=TimingModel.SYNCHRONOUS, tie=tie, stop=StopCriterion.C2)
     state, metrics = run(g, cfg)
-    assert (state.stop_reason, metrics.steps) == (f"c2-period-{period}", steps)
+    assert (metrics.stop_reason, state.step) == (f"c2-period-{period}", steps)
     # replay the labelings with full steps: the last repeats the one
     # `period` steps back and none repeats one or two steps back before it
     s = initial_state(g)
@@ -368,9 +368,9 @@ def test_run_semi_sync_c4_two_steps():
     cfg = RunConfig(timing=TimingModel.SEMI_SYNCHRONOUS, tie=TieStrategy.MAX, seed=1)
     state, metrics = run(g, cfg, col)
     assert state.labels == (3, 3, 3, 3)
-    assert metrics.steps == 2
+    assert state.step == 2
     assert metrics.stages == 4
-    assert state.stop_reason == "c1"
+    assert metrics.stop_reason == "c1"
 
 
 def test_run_sync_c4_c2_period_two():
@@ -379,9 +379,9 @@ def test_run_sync_c4_c2_period_two():
         timing=TimingModel.SYNCHRONOUS, tie=TieStrategy.MAX, stop=StopCriterion.C2, seed=1
     )
     state, metrics = run(g, cfg)
-    assert state.status is RunStatus.CONVERGED
-    assert state.stop_reason == "c2-period-2"
-    assert metrics.steps == 3
+    assert metrics.status is RunStatus.CONVERGED
+    assert metrics.stop_reason == "c2-period-2"
+    assert state.step == 3
 
 
 @pytest.mark.parametrize("timing", list(TimingModel))
@@ -392,8 +392,8 @@ def test_run_consensus_converges_in_one_step(timing, stop):
     cfg = RunConfig(timing=timing, tie=TieStrategy.RANDOM, stop=stop, seed=9,
                     initial_labels=tuple([5] * g.n))
     state, metrics = run(g, cfg, coloring)
-    assert state.status is RunStatus.CONVERGED
-    assert metrics.steps == 1
+    assert metrics.status is RunStatus.CONVERGED
+    assert state.step == 1
 
 
 def test_run_requires_coloring_only_for_semi_sync():
@@ -415,9 +415,9 @@ def test_run_cap_exceeded_is_reported_not_raised():
         step_cap=1,
     )
     state, metrics = run(g, cfg)
-    assert state.status is RunStatus.CAP_EXCEEDED
-    assert state.stop_reason == "step-cap"
-    assert metrics.steps == 1
+    assert metrics.status is RunStatus.CAP_EXCEEDED
+    assert metrics.stop_reason == "step-cap"
+    assert state.step == 1
 
 
 def test_run_validates_config_inputs():
@@ -478,7 +478,7 @@ def test_diamond_semi_sync_does_not_oscillate():
     col = color_from_labels(DIAMOND, [0, 1, 2, 3])
     cfg = RunConfig(timing=TimingModel.SEMI_SYNCHRONOUS, tie=TieStrategy.MAX, seed=4)
     state, metrics = run(DIAMOND, cfg, col)
-    assert state.status is RunStatus.CONVERGED
+    assert metrics.status is RunStatus.CONVERGED
 
 
 # --- convergence guarantees (module-scale property checks) --------------------
@@ -501,9 +501,9 @@ def test_staged_runs_terminate_with_growing_potential():
             initial_labels=tuple(init),
         )
         state, metrics = run(g, cfg, color_from_labels(g, init))
-        assert state.status is RunStatus.CONVERGED
-        assert metrics.steps <= g.m + 1
-        trace = (metrics.f_start,) + metrics.f_trace
+        assert metrics.status is RunStatus.CONVERGED
+        assert state.step <= g.m + 1
+        trace = (state.f_start,) + state.f_trace
         for i in range(1, len(trace) - 1):
             assert trace[i] > trace[i - 1]
 
@@ -651,13 +651,9 @@ def test_run_matches_reference(case, timing, tie, stop, seed, cap):
     assert _state_fields(state) == (
         ref["labels"], ref["f_trace"], ref["last_changed"], ref["last_tie_changed"]
     )
-    assert (state.step, state.f_start, state.status.value, state.stop_reason) == (
-        ref["steps"], ref["f_start"], ref["status"], ref["stop_reason"]
-    )
-    assert (metrics.steps, metrics.stages, metrics.f_start, metrics.f_trace,
-            metrics.status.value, metrics.stop_reason) == (
-        ref["steps"], ref["stages"], ref["f_start"], ref["f_trace"],
-        ref["status"], ref["stop_reason"],
+    assert (state.step, state.f_start) == (ref["steps"], ref["f_start"])
+    assert (metrics.stages, metrics.status.value, metrics.stop_reason) == (
+        ref["stages"], ref["status"], ref["stop_reason"]
     )
 
 
@@ -676,7 +672,7 @@ def test_prec_family_converges_within_the_theorem_bound(case, timing, tie, seed)
     cfg = RunConfig(timing=timing, tie=tie, stop=StopCriterion.NO_CHANGE, seed=seed,
                     step_cap=bound, initial_labels=init)
     state, metrics = run(g, cfg, coloring)
-    assert (state.status, state.stop_reason) == (RunStatus.CONVERGED, "no-change")
+    assert (metrics.status, metrics.stop_reason) == (RunStatus.CONVERGED, "no-change")
     assert labels_locally_maximal(g, state.labels)
 
 
@@ -701,10 +697,10 @@ def test_semi_sync_theorem_holds_under_any_proper_coloring(kernel, case, data, t
     with pytest.MonkeyPatch.context() as mp:
         if kernel == "on":
             mp.setattr(graphs, "ARRAY_MIN_EDGES", 0)
-        state, _ = run(g, cfg, coloring)
-    assert state.status is RunStatus.CONVERGED
+        state, metrics = run(g, cfg, coloring)
+    assert metrics.status is RunStatus.CONVERGED
     if prec_family:
-        assert state.stop_reason == "no-change"
+        assert metrics.stop_reason == "no-change"
         assert labels_locally_maximal(g, state.labels)
 
 
@@ -762,7 +758,6 @@ def test_step_functions_match_reference(case, tie, seed, pin_order):
             f_trace += (reference_f(g.adjacency, labels),)
             assert state.step == k
             assert _state_fields(state) == (labels, f_trace, changed, tie_changed)
-            assert (state.status, state.stop_reason) == (RunStatus.RUNNING, None)
 
 
 # --- active set and incremental f -----------------------------------------------
@@ -783,9 +778,9 @@ def test_incremental_f_matches_recount(case, timing, tie, seed):
                 states.append(_step(*args, **kwargs))
                 return states[-1]
             mp.setattr(propagation, name, recorded)
-        _, metrics = run(g, cfg, coloring)
-    assert len(states) == metrics.steps
-    assert metrics.f_trace == tuple(monochromatic_edge_count(g, s.labels) for s in states)
+        state, _ = run(g, cfg, coloring)
+    assert len(states) == state.step
+    assert state.f_trace == tuple(monochromatic_edge_count(g, s.labels) for s in states)
 
 
 def test_incremental_f_counts_an_edge_between_changed_vertices_once():
@@ -854,8 +849,8 @@ def test_active_set_skips_settled_vertices(monkeypatch, timing):
 
     monkeypatch.setattr(propagation, "neighbor_frequencies", counted)
     state, metrics = run(g, cfg, coloring)
-    assert state.status is RunStatus.CONVERGED and metrics.steps > 2
-    assert len(evaluated) < metrics.steps * g.n
+    assert metrics.status is RunStatus.CONVERGED and state.step > 2
+    assert len(evaluated) < state.step * g.n
 
 
 @pytest.mark.parametrize("timing", list(TimingModel))
@@ -1012,7 +1007,7 @@ def test_async_prec_matches_networkx(monkeypatch):
         cfg = RunConfig(timing=TimingModel.ASYNCHRONOUS, tie=TieStrategy.PREC,
                         stop=StopCriterion.NO_CHANGE, seed=seed)
         state, metrics = run(Graph.from_edges(n, list(G.edges())), cfg)
-        assert state.stop_reason == "no-change"
+        assert metrics.stop_reason == "no-change"
         groups = {}
         for v, label in enumerate(state.labels):
             groups.setdefault(label, set()).add(v)
@@ -1024,6 +1019,6 @@ def test_async_prec_matches_networkx(monkeypatch):
         # networkx's call pattern, which the replay relies on: one shuffle per
         # step, and a choice exactly when a node's label is not maximal, so
         # per label change, even where one label is maximal
-        assert replay.steps == metrics.steps == len(changes), case
+        assert replay.steps == state.step == len(changes), case
         assert replay.choices == sum(changes), case
     assert with_isolated >= 100
