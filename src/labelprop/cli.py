@@ -4,7 +4,8 @@ Exit codes: 0 success/converged, 1 input error, 2 step cap hit without
 convergence, 64 usage error.  Graph arguments accept an embedded fixture
 name (karate, c4, path3, star4, triangles-bridge) or a file path; paths
 ending in .gml parse as GML, anything else as an edge list.  Files are
-read and written as UTF-8, whatever the locale.
+read and written as UTF-8, whatever the locale; a leading byte-order mark
+in a graph file is skipped.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -57,7 +59,7 @@ def load_graph(ref: str) -> tuple[Graph, LoadReport, str]:
         return graph, report, ref
     path = Path(ref)
     loader = load_gml if path.suffix.lower() == ".gml" else load_edge_list
-    with path.open(encoding="utf-8") as source:  # an edge list is read in windows, never held whole
+    with path.open(encoding="utf-8-sig") as source:  # an edge list is read in windows, never held whole
         graph, report = loader(source)
     return graph, report, path.name
 
@@ -66,8 +68,13 @@ def _note_report(report: LoadReport) -> None:
     """Tell stderr what loading a graph normalized away, if anything."""
     dropped = {k: v for k, v in dataclasses.asdict(report).items() if v}
     if dropped:
-        fields = " ".join(f"{k}={json.dumps(v)}" for k, v in dropped.items())
+        fields = " ".join(f"{k}={json.dumps(v, allow_nan=False)}" for k, v in dropped.items())
         print(f"note: load report: {fields}", file=sys.stderr)
+
+
+def _json(doc: dict) -> str:
+    """A JSON document; a NaN in it raises instead of printing invalid JSON."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _emit(text: str, out: "Path | None" = None) -> None:
@@ -126,7 +133,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "membership": list(part.community_of),
             },
         }
-        _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        _emit(_json(doc))
     elif args.format == "csv":
         lines = [
             f"# graph={name} status={metrics.status.value} stop_reason={metrics.stop_reason}",
@@ -153,14 +160,21 @@ def _aggregates(s: ExperimentSummary) -> list:
     return [(field, stem, getattr(s, field)) for _, field, stem in TRIAL_METRICS]
 
 
-def _summary_dict(s: ExperimentSummary) -> dict:
+def _number(x: float) -> "float | None":
+    """An aggregate as JSON has it: null where it is undefined (NaN)."""
+    return None if math.isnan(x) else x
+
+
+def _setting_columns(setting: TestSetting, name: str) -> dict:
+    """The leading columns of a summary's JSON and CSV: its setting, with the graph as `name`."""
+    return {"timing": setting.timing.value, "tie": setting.tie.value, "network": name,
+            "trials": setting.trials, "base_seed": setting.base_seed}
+
+
+def _summary_dict(s: ExperimentSummary, name: str) -> dict:
     return {
-        "timing": s.timing.value,
-        "tie": s.tie.value,
-        "network": s.network,
-        "trials": s.trials,
-        "base_seed": s.base_seed,
-        **{field: {"mean": ms.mean, "std": ms.std} for field, _, ms in _aggregates(s)},
+        **_setting_columns(s.setting, name),
+        **{field: {"mean": _number(ms.mean), "std": _number(ms.std)} for field, _, ms in _aggregates(s)},
         "convergence_rate": s.convergence_rate,
         "non_converged": s.non_converged,
     }
@@ -193,32 +207,26 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         for timing in timings
         for tie in ties
     ]
-    summaries = [dataclasses.replace(s, network=name) for s in run_experiments(settings)]
+    summaries = run_experiments(settings)
     if outdir is not None:
         for s in summaries:
-            stem = f"trials_{s.timing.value}_{s.tie.value}".replace("-", "_")
+            stem = f"trials_{s.setting.timing.value}_{s.setting.tie.value}".replace("-", "_")
             (outdir / f"{stem}.csv").write_text(trials_csv(s), encoding="utf-8")
 
     if args.format == "json":
-        text = json.dumps(
-            {"summaries": [_summary_dict(s) for s in summaries]},
-            sort_keys=True,
-            indent=2,
-        ) + "\n"
+        text = _json({"summaries": [_summary_dict(s, name) for s in summaries]})
     elif args.format == "csv":
         stems = ",".join(f"{stem}_mean,{stem}_std" for _, _, stem in TRIAL_METRICS)
         lines = [f"timing,tie,network,trials,base_seed,{stems},convergence_rate,non_converged"]
         for s in summaries:
+            columns = ",".join(map(str, _setting_columns(s.setting, name).values()))
             values = ",".join(f"{ms.mean!r},{ms.std!r}" for _, _, ms in _aggregates(s))
-            lines.append(
-                f"{s.timing.value},{s.tie.value},{s.network},{s.trials},{s.base_seed},"
-                f"{values},{s.convergence_rate!r},{s.non_converged}"
-            )
+            lines.append(f"{columns},{values},{s.convergence_rate!r},{s.non_converged}")
         text = "\n".join(lines) + "\n"
     else:  # plot-data: every mean, and modularity's deviation
         lines = ["x,y,series"]
         for s in summaries:
-            label = f"{s.timing.value}/{s.tie.value}/{s.network}"
+            label = f"{s.setting.timing.value}/{s.setting.tie.value}/{name}"
             for _, stem, ms in _aggregates(s):
                 lines.append(f"{label},{ms.mean!r},{stem}_mean")
                 if stem == "modularity":
@@ -247,7 +255,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
             "components": components,
             "report": dataclasses.asdict(report),
         }
-        _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        _emit(_json(doc))
     elif args.format == "csv":
         rows = [
             ("name", name),

@@ -10,8 +10,8 @@ protocol's default) give the mean/deviation aggregates used to compare
 quality, timing, and stability across configurations.
 
 A setting's network is a loaded Graph (fixtures.graph, load_edge_list,
-load_gml); resolving a fixture name or a file path is the command line's
-job (cli.load_graph).  A summary names its graph ``graph<n=N>``.
+load_gml), and a summary holds its setting; resolving a fixture name or a
+file path, and naming the graph, is the command line's job (cli.load_graph).
 
 Each trial is a pure function of (graph, setting, trial index), so
 run_experiments splits the trials of all its settings, in setting order
@@ -116,8 +116,8 @@ class MetricSummary:
 
 @dataclass(frozen=True)
 class ExperimentSummary:
-    """Aggregates over one setting's trials: one MetricSummary per row of
-    TRIAL_METRICS, which names the field of each.
+    """Aggregates over the trials of `setting`, which the summary holds (the
+    command line names its graph): one MetricSummary per row of TRIAL_METRICS.
 
     Aggregates use the population (divide by N) deviation over the fixed
     trial count.  If any trial hit the step cap, its modularity is left
@@ -125,15 +125,11 @@ class ExperimentSummary:
     such trials there were; every other metric covers all trials.  On an
     edgeless graph modularity is undefined: every trial's is NaN and is
     left out, so the modularity aggregate is NaN, as for a setting with no
-    converged trial.  `convergence_rate` is derived from `trials` and
-    `non_converged`.
+    converged trial.  `convergence_rate` is derived from the setting's
+    `trials` and `non_converged`.
     """
 
-    timing: TimingModel
-    tie: TieStrategy
-    network: str
-    trials: int
-    base_seed: int
+    setting: TestSetting
     modularity: MetricSummary
     steps: MetricSummary
     stages: MetricSummary
@@ -144,7 +140,7 @@ class ExperimentSummary:
 
     @property
     def convergence_rate(self) -> float:
-        return (self.trials - self.non_converged) / self.trials
+        return (self.setting.trials - self.non_converged) / self.setting.trials
 
 
 def trial_seed(base_seed: int, trial_index: int) -> int:
@@ -296,11 +292,10 @@ def run_experiments(settings: list[TestSetting]) -> list[ExperimentSummary]:
     summaries = []
     start = 0
     for setting in settings:
-        graph = setting.network
         trials = results[start:start + setting.trials]
         start += setting.trials
         converged = [r for r in trials if r.converged]
-        scored = converged if graph.m else []  # the trials modularity aggregates
+        scored = converged if setting.network.m else []  # the trials modularity aggregates
         aggregates = {
             field: _summarize([
                 float(getattr(r, trial_field))
@@ -309,11 +304,7 @@ def run_experiments(settings: list[TestSetting]) -> list[ExperimentSummary]:
             for trial_field, field, _ in TRIAL_METRICS
         }
         summaries.append(ExperimentSummary(
-            timing=setting.timing,
-            tie=setting.tie,
-            network=f"graph<n={graph.n}>",
-            trials=setting.trials,
-            base_seed=setting.base_seed,
+            setting=setting,
             non_converged=setting.trials - len(converged),
             results=tuple(trials),
             **aggregates,

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from strategies import edge_list_documents, gml_documents
 
 import labelprop
-from labelprop import fixtures
+from labelprop import fixtures, graphs
 from labelprop.cli import load_graph, main
 from labelprop.graphs import GraphParseError, load_edge_list, load_gml
 from labelprop.harness import TestSetting, run_experiment, trials_csv
@@ -124,19 +124,51 @@ def test_experiment_matrix_mode(capsys):
     assert len(cells) == 8
 
 
-def test_experiment_on_an_edgeless_graph_reports_nan_modularity(capsys, tmp_path: Path):
+def _strict_json(text):
+    """Parse JSON as RFC 8259 has it: NaN and Infinity are not numbers."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_experiment_on_an_edgeless_graph_reports_null_modularity(capsys, tmp_path: Path):
     # run prints modularity=None here; experiment leaves every trial's NaN
-    # out of the aggregate instead of failing.
+    # out of the aggregate instead of failing, and writes it as null.
     path = tmp_path / "edgeless.txt"
     path.write_text("a a\nb b\n")
     code, out, _ = run_cli(capsys, "experiment", str(path), "--trials", "3")
     assert code == 0
-    summary = json.loads(out)["summaries"][0]
-    assert summary["modularity"]["mean"] != summary["modularity"]["mean"]  # NaN
+    summary = _strict_json(out)["summaries"][0]
+    assert summary["modularity"] == {"mean": None, "std": None}
     assert summary["communities"] == {"mean": 2.0, "std": 0.0}
     code, out, _ = run_cli(capsys, "run", str(path))
     assert code == 0
     assert json.loads(out)["result"]["modularity"] is None
+
+
+def test_experiment_with_every_trial_capped_reports_null_modularity(capsys):
+    code, out, _ = run_cli(capsys, "experiment", "karate", "--timing", "sync", "--tie", "random",
+                           "--cap", "1", "--trials", "3")
+    assert code == 0
+    (summary,) = _strict_json(out)["summaries"]
+    assert (summary["non_converged"], summary["convergence_rate"]) == (3, 0.0)
+    assert summary["modularity"] == {"mean": None, "std": None}
+    code, out, _ = run_cli(capsys, "experiment", "karate", "--timing", "sync", "--tie", "random",
+                           "--cap", "1", "--trials", "3", "--format", "csv")
+    assert out.splitlines()[1].split(",")[5:7] == ["nan", "nan"]  # CSV keeps nan
+
+
+def test_experiment_names_a_file_graph_by_its_file_name(capsys, tmp_path: Path):
+    path = tmp_path / "pair.edgelist"
+    path.write_text("a b\n")
+    args = ("experiment", str(path), "--tie", "max", "--trials", "2")
+    _, out, _ = run_cli(capsys, *args)
+    assert [s["network"] for s in json.loads(out)["summaries"]] == ["pair.edgelist"]
+    _, out, _ = run_cli(capsys, *args, "--format", "csv")
+    header, row = out.splitlines()
+    assert row.split(",")[header.split(",").index("network")] == "pair.edgelist"
+    _, out, _ = run_cli(capsys, *args, "--format", "plot-data")
+    assert {line.split(",")[0] for line in out.splitlines()[1:]} == {"semi-sync/max/pair.edgelist"}
 
 
 def test_experiment_writes_outputs(capsys, tmp_path: Path):
@@ -466,14 +498,20 @@ def test_cli_fuzzed_edge_list_exits_cleanly(tmp_path_factory, text):
         ("crlf.gml", 'Creator "t"\r\ngraph\r\n[ # nodes\r\n  node [ id 1 label "a" ]\r\n'
          '  node\r\n  [\r\n    id 2\r\n  ]\r\n  edge [ source 2 target 1 value 3 ]\r\n]\r\n', None),
         ("bad.gml", "graph [\r\n  node [ id 1 ]\r\n  # x\r\n  edge [ source 1 ]\r\n]\r\n", 4),
+        ("bom.edgelist", "\ufeff1 2\n3 1\n2 3\n", None),
+        ("bom.gml", '\ufeffgraph [ node [ id 1 ] node [ id 2 ] edge [ source 1 target 2 ] ]\n', None),
     ],
 )
-def test_load_graph_streams_the_file_like_the_text_loader(tmp_path: Path, name, text, error_line):
+def test_load_graph_streams_the_file_like_the_text_loader(tmp_path: Path, monkeypatch, name, text, error_line):
     path = tmp_path / name
     path.write_bytes(text.encode())
     loader = load_gml if name.endswith(".gml") else load_edge_list
-    outcome = _load_outcome(loader, path.read_text())
+    # a leading byte-order mark is skipped: the outcome is the text's without it
+    outcome = _load_outcome(loader, path.read_text(encoding="utf-8").removeprefix("\ufeff"))
     assert _load_outcome(load_graph, str(path)) == outcome
+    if text.startswith("\ufeff"):  # and in the numpy reader and assembly
+        monkeypatch.setattr(graphs, "ARRAY_MIN_EDGES", 0)
+        assert _load_outcome(load_graph, str(path)) == outcome
     if error_line is None:
         assert outcome[0].m == (1 if name.endswith(".gml") else 3)
     else:

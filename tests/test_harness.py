@@ -120,7 +120,7 @@ def test_experiment_reproducible():
     a = run_experiment(s)
     c = run_experiment(s)
     assert a == c
-    assert a.network == "graph<n=34>"  # the command line shows the loaded name instead
+    assert a.setting is s
 
 
 def test_single_trial_has_zero_std():
